@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .config import DEFAULT_MAX_K
 from .generators import make_path, make_star
-from .trees import Tree, canonical_code, make_tree
+from .trees import Tree, canonical_code, degrees, make_tree
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,24 @@ class TreeCatalog:
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int) -> dict[bytes, Tree]:
-    """Canonical code -> representative for every n-vertex class."""
+def _classes(n: int, dmax: int | None) -> dict[bytes, Tree]:
+    """Canonical code -> representative for every n-vertex class, or with
+    dmax set, for every class of maximum degree <= dmax.
+
+    Degree-bounded classes are closed under leaf removal, so the same
+    extension argument applies with attachment restricted to vertices of
+    degree < dmax.  dmax is a required argument so that each class set has
+    one cache key.
+    """
     if n == 1:
         t = make_tree(1, [])
         return {canonical_code(t): t}
     out: dict[bytes, Tree] = {}
-    for _, parent in sorted(_classes(n - 1).items()):
+    for _, parent in sorted(_classes(n - 1, dmax).items()):
+        deg = degrees(parent)
         for v in range(n - 1):
+            if dmax is not None and deg[v] >= dmax:
+                continue
             t = Tree(n, parent.edges + ((v, n - 1),))
             code = canonical_code(t)
             if code not in out:
@@ -67,7 +77,7 @@ def _classes(n: int) -> dict[bytes, Tree]:
 
 @lru_cache(maxsize=None)
 def _catalog(k: int) -> TreeCatalog:
-    classes = _classes(k)
+    classes = _classes(k, None)
     path_code = canonical_code(make_path(k))
     star_code = canonical_code(make_star(k))
     head = [path_code]
@@ -105,35 +115,11 @@ def catalog_count(k: int, max_k: int = DEFAULT_MAX_K) -> int:
     return enumerate_trees(k, max_k).count
 
 
-@lru_cache(maxsize=None)
-def _bounded_classes(n: int, dmax: int) -> dict[bytes, Tree]:
-    """Degree-bounded classes; closed under leaf removal, so the same
-    extension argument applies with attachment restricted to vertices of
-    degree < dmax."""
-    if n == 1:
-        t = make_tree(1, [])
-        return {canonical_code(t): t}
-    out: dict[bytes, Tree] = {}
-    for _, parent in sorted(_bounded_classes(n - 1, dmax).items()):
-        deg = [0] * (n - 1)
-        for u, v in parent.edges:
-            deg[u] += 1
-            deg[v] += 1
-        for v in range(n - 1):
-            if deg[v] >= dmax:
-                continue
-            t = Tree(n, parent.edges + ((v, n - 1),))
-            code = canonical_code(t)
-            if code not in out:
-                out[code] = t
-    return out
-
-
 def enumerate_trees_bounded_degree(n: int, dmax: int = 3, max_n: int = 16) -> tuple[Tree, ...]:
     """All n-vertex trees with maximum degree <= dmax, ascending code order."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > max_n:
         raise ValueError(f"n = {n} exceeds the cap {max_n}; pass a larger max_n to allow it")
-    classes = _bounded_classes(n, dmax)
+    classes = _classes(n, dmax)
     return tuple(classes[c] for c in sorted(classes))

@@ -24,7 +24,6 @@ by the test suite.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -385,32 +384,27 @@ def run_suite(
     suite: str = "all",
     max_n: int = 11,
     ks: tuple[int, ...] = (5, 6),
-    threads: int = 1,
 ) -> list[VerificationReport]:
     """Run the verification checks over exhaustive small-tree corpora.
 
     suite selects census identities (max-degree-3 trees up to max_n),
     window-bound checks (all trees up to max_n, plus the millipede chain),
-    or both.  Work may be sharded across threads; the report order and
-    content are identical for any worker count.
+    or both.  Checks run serially in a fixed order (census, then lemmas,
+    then the millipede chain, each by catalog order), so the reports are
+    the same from run to run.
     """
     if suite not in ("census", "lemmas", "all"):
         raise ValueError(f"unknown suite {suite!r}")
-    jobs: list = []
+    reports: list[VerificationReport] = []
     if suite in ("census", "all"):
         for n in range(2, max_n + 1):
             for t in enumerate_trees_bounded_degree(n, 3, max_n=max(max_n, 16)):
-                jobs.append((_census_checks_for, (t,)))
+                reports.extend(_census_checks_for(t))
     if suite in ("lemmas", "all"):
         for n in range(2, max_n + 1):
             for t in enumerate_trees(n, max_k=max(max_n, 12)).entries:
-                jobs.append((_lemma_checks_for, (t, ks)))
+                reports.extend(_lemma_checks_for(t, ks))
         for k in (6, 8):
             for length in (10, 20):
-                jobs.append((lambda k, L: [check_millipede_upper(k, L)], (k, length)))
-    if threads <= 1:
-        batches = [fn(*args) for fn, args in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(lambda job: job[0](*job[1]), jobs))
-    return [report for batch in batches for report in batch]
+                reports.append(check_millipede_upper(k, length))
+    return reports

@@ -23,7 +23,7 @@ from . import __version__
 from .catalog import enumerate_trees
 from .census import VerificationReport, run_suite
 from .config import Config, resolve_config
-from .counting import ProfileVector, count_all, fraction_to_decimal
+from .counting import count_all, fraction_to_decimal
 from .generators import (
     VertexCapError,
     convex_glue,
@@ -89,11 +89,8 @@ def _cmd_enum(args, cfg: Config) -> int:
 def _cmd_profile(args, cfg: Config) -> int:
     t = load_tree(args.tree)
     digits = cfg.decimal_precision
-    record = count_all(t, args.k, cfg.max_k, cfg.resolved_threads())
-    if record.total == 0:
-        raise ValueError(f"tree on {t.n} vertices has no windows of {args.k} vertices")
-    coords = tuple(Fraction(c, record.total) for c in record.per_type)
-    pv = ProfileVector(args.k, coords)
+    record = count_all(t, args.k, cfg.max_k)
+    pv = record.profile_vector(t.n)
     if args.format == "csv":
         lines = ["index,decimal,exact" + (",count" if args.counts else "")]
         for i, c in enumerate(pv.coords, start=1):
@@ -144,7 +141,7 @@ def _cmd_gen(args, cfg: Config) -> int:
 
 def _cmd_verify(args, cfg: Config) -> int:
     ks = (args.k,) if args.k is not None else (5, 6)
-    reports = run_suite(args.suite, args.max_n, ks, cfg.resolved_threads())
+    reports = run_suite(args.suite, args.max_n, ks)
     payload = [_jsonify_report(r, cfg.decimal_precision) for r in reports]
     _write_output(json.dumps(payload, indent=2), args.report)
     failed = sum(1 for r in reports if not r.holds)
@@ -204,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="vertex budget for constructions (default 1000000)")
     parser.add_argument("--precision", type=int, dest="decimal_precision",
                         help="significant digits for decimal output (default 12)")
-    parser.add_argument("--threads", type=int, help="worker threads (default: one per CPU)")
     parser.add_argument("--seed", type=int, help="global random seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -291,7 +287,6 @@ def main(argv=None) -> int:
         "max_k": args.max_k,
         "vertex_cap": args.vertex_cap,
         "decimal_precision": args.decimal_precision,
-        "threads": args.threads,
         "seed": args.seed,
     }
     try:

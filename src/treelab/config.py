@@ -18,29 +18,23 @@ DEFAULT_DECIMAL_PRECISION = 12
 DEFAULT_SEED = 0
 
 _ENV_PREFIX = "TREELAB_"
-_INT_KEYS = ("max_k", "vertex_cap", "decimal_precision", "threads", "seed")
+_INT_KEYS = ("max_k", "vertex_cap", "decimal_precision", "seed")
 # Environment spellings: TREELAB_MAX_K, TREELAB_VERTEX_CAP,
-# TREELAB_DECIMAL_PRECISION, TREELAB_THREADS, TREELAB_SEED.
+# TREELAB_DECIMAL_PRECISION, TREELAB_SEED.
 
 
 @dataclass(frozen=True)
 class Config:
     """Knobs shared across subcommands.
 
-    ``threads`` of None means one worker per CPU; any worker count must
-    produce byte-identical reports, so it only affects wall time.
+    Commands run serially in the calling thread; these knobs change what
+    a command computes or prints, never how its work is scheduled.
     """
 
     max_k: int = DEFAULT_MAX_K
     vertex_cap: int = DEFAULT_VERTEX_CAP
     decimal_precision: int = DEFAULT_DECIMAL_PRECISION
-    threads: int | None = None
     seed: int = DEFAULT_SEED
-
-    def resolved_threads(self) -> int:
-        if self.threads is not None:
-            return max(1, self.threads)
-        return max(1, os.cpu_count() or 1)
 
 
 def parse_config_file(path) -> dict:

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import decimal
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import enumerate_trees
 from .config import DEFAULT_MAX_K
-from .trees import Tree, adjacency, aut_size, canonical_code, degrees, make_tree
+from .trees import Tree, adjacency, canonical_code, degrees, make_tree
 
 _PARENT_CODE_CACHE: dict[tuple[int, ...], bytes] = {}
 
@@ -44,15 +43,14 @@ def _code_of_attachment_sequence(parents: tuple[int, ...]) -> bytes:
     return code
 
 
-def _tally_shapes(
-    adj: tuple[tuple[int, ...], ...], k: int, anchors: range
-) -> dict[tuple[int, ...], int]:
-    """Window counts keyed by attachment-position sequence, over the given anchors."""
+def _tally_shapes(t: Tree, k: int) -> dict[tuple[int, ...], int]:
+    """Whole-tree window counts keyed by attachment-position sequence."""
     tallies: dict[tuple[int, ...], int] = {}
     if k == 1:
-        if len(anchors):
-            tallies[()] = len(anchors)
+        if t.n:
+            tallies[()] = t.n
         return tallies
+    adj = adjacency(t)
 
     def grow(anchor: int, sub: tuple[int, ...], pool: list, parents: tuple[int, ...]) -> None:
         last = len(sub) + 1 == k
@@ -66,31 +64,15 @@ def _tally_shapes(
             fresh = [(u, len(sub)) for u in adj[w] if u > anchor and u != parent_vertex]
             grow(anchor, sub + (w,), pool + fresh, key)
 
-    for anchor in anchors:
+    for anchor in range(t.n):
         ext = [(u, 0) for u in adj[anchor] if u > anchor]
         if ext:
             grow(anchor, (anchor,), ext, ())
+    # grow refers to itself through its closure; breaking that cycle frees
+    # adj on return instead of at the next full garbage collection, which
+    # on large hosts would keep one adjacency alive into the next count.
+    del grow
     return tallies
-
-
-def _tally_all(t: Tree, k: int, threads: int = 1) -> dict[tuple[int, ...], int]:
-    """Whole-tree shape tallies, optionally sharded by anchor ranges.
-
-    Shards are merged by addition in a fixed order, so the result does not
-    depend on the worker count.
-    """
-    adj = adjacency(t)
-    if threads <= 1 or t.n < 2 * threads:
-        return _tally_shapes(adj, k, range(t.n))
-    bounds = [t.n * i // threads for i in range(threads + 1)]
-    ranges = [range(bounds[i], bounds[i + 1]) for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        shards = list(pool.map(lambda r: _tally_shapes(adj, k, r), ranges))
-    merged: dict[tuple[int, ...], int] = {}
-    for shard in shards:
-        for key, c in shard.items():
-            merged[key] = merged.get(key, 0) + c
-    return merged
 
 
 def enumerate_connected_subsets(t: Tree, k: int):
@@ -128,7 +110,7 @@ def count_connected_subsets(t: Tree, k: int) -> int:
     """Total number of windows of k vertices (the Z total)."""
     if k < 1:
         raise ValueError(f"window size must be >= 1, got k={k}")
-    return sum(_tally_all(t, k).values())
+    return sum(_tally_shapes(t, k).values())
 
 
 @dataclass(frozen=True)
@@ -141,6 +123,13 @@ class CountsRecord:
     k: int
     per_type: tuple[int, ...]
     total: int
+
+    def profile_vector(self, n: int) -> ProfileVector:
+        """The counts as exact densities; n is the host's vertex count,
+        named in the error raised when there are no windows."""
+        if self.total == 0:
+            raise ValueError(f"tree on {n} vertices has no windows of {self.k} vertices")
+        return ProfileVector(k=self.k, coords=tuple(Fraction(c, self.total) for c in self.per_type))
 
 
 @dataclass(frozen=True)
@@ -157,14 +146,14 @@ class ProfileVector:
         return tuple(fraction_to_decimal(c, digits) for c in self.coords)
 
 
-def count_all(t: Tree, k: int, max_k: int = DEFAULT_MAX_K, threads: int = 1) -> CountsRecord:
+def count_all(t: Tree, k: int, max_k: int = DEFAULT_MAX_K) -> CountsRecord:
     """Window counts per shape in one enumeration pass.
 
     A tree with fewer than k vertices yields all zeros with total 0.
     """
     catalog = enumerate_trees(k, max_k)
     counts = [0] * catalog.count
-    for parents, c in _tally_all(t, k, threads).items():
+    for parents, c in _tally_shapes(t, k).items():
         counts[catalog.index_of[_code_of_attachment_sequence(parents)] - 1] += c
     return CountsRecord(k=k, per_type=tuple(counts), total=sum(counts))
 
@@ -181,27 +170,15 @@ def count_copies(s: Tree, t: Tree) -> int:
         return t.n
     target = canonical_code(s)
     total = 0
-    for parents, c in _tally_all(t, k).items():
+    for parents, c in _tally_shapes(t, k).items():
         if _code_of_attachment_sequence(parents) == target:
             total += c
     return total
 
 
-def embedding_count(s: Tree, t: Tree) -> int:
-    """Number of injective structure-preserving maps from s into t.
-
-    Each window of shape s supports exactly aut(s) of them; nothing in the
-    toolkit's verifications uses this view, it exists for comparison.
-    """
-    return count_copies(s, t) * aut_size(s)
-
-
-def profile(t: Tree, k: int, max_k: int = DEFAULT_MAX_K, threads: int = 1) -> ProfileVector:
+def profile(t: Tree, k: int, max_k: int = DEFAULT_MAX_K) -> ProfileVector:
     """Normalized shape distribution of the k-windows of t."""
-    record = count_all(t, k, max_k, threads)
-    if record.total == 0:
-        raise ValueError(f"tree on {t.n} vertices has no windows of {k} vertices")
-    return ProfileVector(k=k, coords=tuple(Fraction(c, record.total) for c in record.per_type))
+    return count_all(t, k, max_k).profile_vector(t.n)
 
 
 def fraction_to_decimal(value: Fraction, digits: int = 12) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import catalog_count, enumerate_trees
-from .census import VerificationReport
+from .census import VerificationReport, _describe
 from .config import DEFAULT_DECIMAL_PRECISION, DEFAULT_VERTEX_CAP
 from .counting import (
     count_all,
@@ -34,11 +34,6 @@ from .counting import (
 )
 from .generators import glue_power, glue_power_size, make_millipede, prufer_to_tree
 from .trees import Tree, canonical_code, max_degree
-
-# The plane story needs exactly three 5-vertex shapes, giving Z5 = P + S + Y.
-if catalog_count(5) != 3:
-    raise RuntimeError("expected exactly three 5-vertex tree shapes")
-
 
 @dataclass(frozen=True)
 class PlanePoint:
@@ -73,14 +68,23 @@ def line_margin(p: PlanePoint) -> Fraction:
     return p.y - Fraction(1 - 2 * p.x, 37)
 
 
-def projection_point(t: Tree) -> PlanePoint:
-    """Finite (p_path, p_star) projection of a tree with >= 5 vertices."""
+def _five_window_counts(t: Tree) -> tuple[int, int, int]:
+    """(P, S, Z) for the 5-vertex windows of t, with Z = P + S + Y.
+
+    There are exactly three 5-vertex shapes (path, star, fork), so the
+    fast counters give the whole window total.
+    """
     P = count_paths_fast(t, 5)
     S = count_stars_fast(t, 5)
-    Y = count_y_fast(t)
-    Z = P + S + Y
+    Z = P + S + count_y_fast(t)
     if Z == 0:
         raise ValueError(f"tree on {t.n} vertices has no 5-vertex windows")
+    return P, S, Z
+
+
+def projection_point(t: Tree) -> PlanePoint:
+    """Finite (p_path, p_star) projection of a tree with >= 5 vertices."""
+    P, S, Z = _five_window_counts(t)
     return PlanePoint(x=Fraction(P, Z), y=Fraction(S, Z))
 
 
@@ -90,17 +94,11 @@ def check_region_shadow(t: Tree) -> VerificationReport:
     Dividing Y <= 36S + P + 4 by Z gives
     p_star >= (1 - 2 p_path - 4/Z)/37; the margin must be >= 0.
     """
-    P = count_paths_fast(t, 5)
-    S = count_stars_fast(t, 5)
-    Y = count_y_fast(t)
-    Z = P + S + Y
-    if Z == 0:
-        raise ValueError(f"tree on {t.n} vertices has no 5-vertex windows")
+    P, S, Z = _five_window_counts(t)
     lhs = Fraction(1 - 2 * Fraction(P, Z) - Fraction(4, Z), 37)
     rhs = Fraction(S, Z)
-    code = canonical_code(t).decode("ascii")
     return VerificationReport(
-        check="region_shadow", inputs=f"n={t.n} code={code}",
+        check="region_shadow", inputs=_describe(t),
         lhs=lhs, rhs=rhs, holds=lhs <= rhs, slack=rhs - lhs,
     )
 

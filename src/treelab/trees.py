@@ -251,9 +251,30 @@ def tree_to_json(t: Tree) -> dict:
 
 
 def tree_from_json(obj) -> Tree:
+    """Tree from the JSON form, checked strictly.
+
+    n and every endpoint must be JSON integers (not booleans, not floats)
+    and edges a list of two-element lists; anything else raises
+    InvalidTreeError, as do the tree invariants of validate().
+    """
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InvalidTreeError("tree JSON must be an object with 'n' and 'edges'")
-    t = make_tree(int(obj["n"]), obj["edges"])
+    n = obj["n"]
+    if type(n) is not int:
+        raise InvalidTreeError(f"'n' must be an integer, got {type(n).__name__}")
+    raw = obj["edges"]
+    if type(raw) is not list:
+        raise InvalidTreeError(f"'edges' must be a list, got {type(raw).__name__}")
+    edges = []
+    append = edges.append
+    for i, e in enumerate(raw):
+        if type(e) is list and len(e) == 2:
+            u, v = e
+            if type(u) is int and type(v) is int:
+                append((u, v))
+                continue
+        raise InvalidTreeError(f"edge {i} must be a list of two integers [u, v]")
+    t = Tree(n, tuple(edges))
     require_valid(t)
     return t
 

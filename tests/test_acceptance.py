@@ -10,12 +10,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import treelab
 from conftest import naive_window_census, prufer_class_count
 from treelab.catalog import (
     catalog_count,
@@ -268,14 +273,23 @@ def test_criterion_11_millipede_chain():
     conclude(11, "millipede chain: no stars, path cap, window floor", ok)
 
 
+def _fresh_verify_report(hash_seed: str) -> bytes:
+    """stdout of `treelab verify --max-n 11` in a new interpreter."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    src = str(Path(treelab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "treelab.cli", "verify", "--max-n", "11"],
+        env=env, capture_output=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    return done.stdout
+
+
 def test_criterion_12_determinism():
-    baseline = None
-    ok = True
-    for workers in (1, 2, 8):
-        reports = run_suite("all", max_n=11, ks=(5, 6), threads=workers)
-        blob = json.dumps([_jsonify_report(r, 12) for r in reports]).encode()
-        if baseline is None:
-            baseline = blob
-        elif blob != baseline:
-            ok = False
-    conclude(12, "suite reports byte-identical under 1, 2, and 8 threads", ok)
+    reports = run_suite("all", max_n=11, ks=(5, 6))
+    here = (json.dumps([_jsonify_report(r, 12) for r in reports], indent=2) + "\n").encode()
+    fresh = [_fresh_verify_report(seed) for seed in ("0", "1")]
+    ok = len(reports) > 0 and all(blob == here for blob in fresh)
+    conclude(12, "suite reports byte-identical in this process and in fresh "
+                 "interpreters with PYTHONHASHSEED 0 and 1", ok)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
@@ -217,13 +216,6 @@ class TestSuite:
         lemmas_only = run_suite("lemmas", max_n=9)
         both = run_suite("all", max_n=9)
         assert len(census_only) + len(lemmas_only) <= len(both)
-
-    def test_thread_independence(self):
-        from treelab.cli import _jsonify_report
-
-        a = [_jsonify_report(r, 12) for r in run_suite("all", max_n=10, threads=1)]
-        b = [_jsonify_report(r, 12) for r in run_suite("all", max_n=10, threads=4)]
-        assert json.dumps(a) == json.dumps(b)
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

@@ -76,6 +76,20 @@ class TestProfile:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 3, "edges": null}',
+        '{"n": 2, "edges": [[0, 1.5]]}',
+        '{"n": 2, "edges": [[0, true]]}',
+        '{"n": true, "edges": []}',
+    ])
+    def test_malformed_tree_json_exits_two(self, tmp_path, capsys, text):
+        f = tmp_path / "f.json"
+        f.write_text(text)
+        code, out, err = run(capsys, "profile", "--k", "1", "--tree", str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("treelab: error: ") and err.count("\n") == 1
+
 
 class TestGen:
     def test_round_trips(self, tmp_path, capsys):
@@ -140,7 +154,7 @@ class TestVerify:
     def test_exit_one_on_failure(self, capsys, monkeypatch):
         import treelab.cli as cli_module
 
-        def fake_suite(suite, max_n, ks, threads):
+        def fake_suite(suite, max_n, ks):
             return [VerificationReport(check="forced", inputs="x", lhs=1,
                                        rhs=0, holds=False, slack=-1)]
 
@@ -157,17 +171,6 @@ class TestVerify:
         window = [r for r in data if r["check"].endswith("window_bound")]
         assert window
         assert all("k=5" in r["inputs"] for r in window)
-
-    def test_thread_byte_identical_reports(self, tmp_path, capsys):
-        files = []
-        for workers in ("1", "2", "8"):
-            f = tmp_path / f"r{workers}.json"
-            code, _, _ = run(capsys, "--threads", workers, "verify",
-                             "--suite", "all", "--max-n", "10",
-                             "--report", str(f))
-            assert code == 0
-            files.append(f.read_bytes())
-        assert files[0] == files[1] == files[2]
 
 
 class TestRegionScan:
@@ -236,6 +239,20 @@ class TestConfigPlumbing:
         conf.write_text("nope = 1\n")
         code, _, err = run(capsys, "--config", str(conf), "enum", "--k", "4")
         assert code == 2
+
+    def test_threads_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["--threads", "2", "verify"])
+        assert e.value.code == 2
+        assert "usage: treelab" in capsys.readouterr().err
+
+    def test_threads_config_key_removed(self, tmp_path, capsys):
+        conf = tmp_path / "treelab.conf"
+        conf.write_text("threads = 2\n")
+        code, out, err = run(capsys, "--config", str(conf), "verify", "--max-n", "5")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "unknown config key 'threads'" in err
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as e:

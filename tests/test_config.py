@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from treelab.config import (
@@ -18,9 +20,10 @@ class TestDefaults:
         assert cfg.decimal_precision == 12
         assert cfg.seed == 0
 
-    def test_resolved_threads_positive(self):
-        assert Config().resolved_threads() >= 1
-        assert Config(threads=3).resolved_threads() == 3
+    def test_four_settable_fields(self):
+        assert [f.name for f in fields(Config)] == [
+            "max_k", "vertex_cap", "decimal_precision", "seed",
+        ]
 
 
 class TestFile:
@@ -73,4 +76,7 @@ class TestPrecedence:
 
     def test_environment_bad_value(self):
         with pytest.raises(ValueError):
-            config_from_environment({"TREELAB_THREADS": "many"})
+            config_from_environment({"TREELAB_SEED": "many"})
+
+    def test_threads_is_not_read(self):
+        assert config_from_environment({"TREELAB_THREADS": "2"}) == {}

@@ -195,6 +195,32 @@ class TestSerialization:
     def test_round_trip_property(self, t):
         assert tree_from_json(tree_to_json(t)) == t
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"n": 3, "edges": None}, "'edges' must be a list"),
+        ({"n": 2, "edges": [[0, 1.5]]}, "edge 0 "),
+        ({"n": 2, "edges": [[0, True]]}, "edge 0 "),
+        ({"n": True, "edges": []}, "'n' must be an integer"),
+        ({"n": 2.0, "edges": [[0, 1]]}, "'n' must be an integer"),
+        ({"n": 2, "edges": [[0]]}, "edge 0 "),
+        ({"n": 2, "edges": [[0, 1, 2]]}, "edge 0 "),
+        ({"n": 2, "edges": ["01"]}, "edge 0 "),
+        ({"n": 2, "edges": [None]}, "edge 0 "),
+    ])
+    def test_json_rejects_non_integer_input(self, obj, message):
+        with pytest.raises(InvalidTreeError, match=message):
+            tree_from_json(obj)
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_trees(14).filter(lambda t: t.n > 1), st.data())
+    def test_rejects_any_non_integer_endpoint(self, t, data):
+        obj = tree_to_json(t)
+        i = data.draw(st.integers(0, len(obj["edges"]) - 1))
+        side = data.draw(st.integers(0, 1))
+        u = obj["edges"][i][side]
+        obj["edges"][i][side] = data.draw(st.sampled_from([float(u), bool(u % 2), str(u), None]))
+        with pytest.raises(InvalidTreeError, match=f"edge {i} "):
+            tree_from_json(obj)
+
 
 class TestPruferDecode:
     def test_known_sequence(self):
