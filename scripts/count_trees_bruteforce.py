@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Count isomorphism classes of k-vertex trees by brute force.
 
-Decodes every parent sequence of length k-2 over k labels (Cayley: k^(k-2)
-labeled trees), canonicalises each tree, and counts distinct codes.  This is
-the slow, assumption-free cross-check for the catalog enumerator; the counts
-it produces are frozen into the test suite.  Runtime grows like k^(k-2):
-k = 8 takes seconds, k = 9 minutes, k = 10 the better part of an hour on one
-core.
+Decodes every Prufer sequence of length k-2 over k labels (Cayley: k^(k-2)
+labeled trees) with treelab.generators.prufer_to_tree, and counts distinct
+treelab.trees.canonical_code values.  This is the slow cross-check for the
+catalog enumerator, which builds shapes by leaf extension instead; the
+counts it produces are frozen into the test suite.  Runtime grows like
+k^(k-2): k = 8 takes seconds, k = 9 minutes, k = 10 the better part of an
+hour on one core.
 
 Usage: count_trees_bruteforce.py --k 8 [--json OUT]
 """
@@ -17,68 +18,10 @@ import argparse
 import json
 import sys
 import time
-from heapq import heapify, heappop, heappush
 from itertools import product
 
-
-def sequence_to_edges(seq, n):
-    """Labeled tree for a parent sequence, smallest-leaf decoding rule."""
-    deg = [1] * n
-    for x in seq:
-        deg[x] += 1
-    heap = [v for v in range(n) if deg[v] == 1]
-    heapify(heap)
-    edges = []
-    for x in seq:
-        u = heappop(heap)
-        edges.append((u, x))
-        deg[x] -= 1
-        if deg[x] == 1:
-            heappush(heap, x)
-    edges.append((heappop(heap), heappop(heap)))
-    return edges
-
-
-def canonical_form(edges, n):
-    """Center-rooted nested-tuple code, local fast path for tiny n."""
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    deg = [len(a) for a in adj]
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            for w in adj[v]:
-                if deg[w] > 1:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-
-    def rooted(root):
-        order = [root]
-        parent = [-1] * n
-        parent[root] = root
-        for v in order:
-            pv = parent[v]
-            for w in adj[v]:
-                if w != pv:
-                    parent[w] = v
-                    order.append(w)
-        code = [()] * n
-        for v in reversed(order):
-            pv = parent[v]
-            code[v] = tuple(sorted(code[w] for w in adj[v] if w != pv))
-        return code[root]
-
-    if len(layer) == 1:
-        return rooted(layer[0])
-    return min(rooted(layer[0]), rooted(layer[1]))
+from treelab.generators import prufer_to_tree
+from treelab.trees import canonical_code
 
 
 def count_classes(k, report_every=5_000_000):
@@ -88,7 +31,7 @@ def count_classes(k, report_every=5_000_000):
     total = k ** (k - 2)
     t0 = time.time()
     for i, seq in enumerate(product(range(k), repeat=k - 2)):
-        seen.add(canonical_form(sequence_to_edges(seq, k), k))
+        seen.add(canonical_code(prufer_to_tree(seq, k)))
         if report_every and (i + 1) % report_every == 0:
             rate = (i + 1) / (time.time() - t0)
             eta = (total - i - 1) / rate

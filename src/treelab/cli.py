@@ -26,12 +26,15 @@ from .config import Config, resolve_config
 from .counting import count_all, fraction_to_decimal
 from .generators import (
     VertexCapError,
+    check_vertex_cap,
     convex_glue,
     glue,
     glue_power,
+    glue_size,
     make_millipede,
     make_path,
     make_star,
+    millipede_size,
     random_tree,
 )
 from .region import conjecture_scan, emit_figure_data, inducibility_lower_bound
@@ -113,26 +116,33 @@ def _cmd_profile(args, cfg: Config) -> int:
 
 
 def _cmd_gen(args, cfg: Config) -> int:
+    # Every family checks its projected size against the cap before building.
+    cap = cfg.vertex_cap
     if args.family == "path":
+        check_vertex_cap(args.n, cap, "gen path")
         t = make_path(args.n)
     elif args.family == "star":
+        check_vertex_cap(args.n, cap, "gen star")
         t = make_star(args.n)
     elif args.family == "millipede":
+        check_vertex_cap(millipede_size(args.d, args.length), cap, "gen millipede")
         t = make_millipede(args.d, args.length)
     elif args.family == "glue":
         a = load_tree(args.t)
         b = load_tree(args.s)
+        check_vertex_cap(glue_size(a.n, b.n, args.k), cap, "gen glue")
         leaf_t = args.leaf_t if args.leaf_t is not None else lowest_leaf(a)
         leaf_s = args.leaf_s if args.leaf_s is not None else lowest_leaf(b)
         t = glue(a, b, args.k, leaf_t, leaf_s)
     elif args.family == "gluepower":
-        t = glue_power(load_tree(args.t), args.k, args.power, vertex_cap=cfg.vertex_cap)
+        t = glue_power(load_tree(args.t), args.k, args.power, vertex_cap=cap)
     elif args.family == "convex":
         t = convex_glue(
             load_tree(args.t), load_tree(args.s), args.k, args.alpha, args.beta,
-            vertex_cap=cfg.vertex_cap, nominal=args.nominal,
+            vertex_cap=cap, nominal=args.nominal,
         )
     else:
+        check_vertex_cap(args.n, cap, "gen random")
         seed = args.local_seed if args.local_seed is not None else cfg.seed
         t = random_tree(args.n, seed)
     _write_output(json.dumps(tree_to_json(t)), args.out)

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .catalog import enumerate_trees
 from .config import DEFAULT_MAX_K
-from .trees import Tree, adjacency, canonical_code, degrees, make_tree
+from .trees import Tree, adjacency, bfs_order, canonical_code, degrees, make_tree
 
 _PARENT_CODE_CACHE: dict[tuple[int, ...], bytes] = {}
 
@@ -209,7 +209,7 @@ def count_paths_fast(t: Tree, k: int) -> int:
     if n < k:
         return 0
     adj = adjacency(t)
-    order, parent = _root_order(adj, 0)
+    order, parent = bfs_order(adj, 0)
     down: list = [None] * n
     total = 0
     for v in reversed(order):
@@ -279,21 +279,3 @@ def count_y_split(t: Tree) -> tuple[int, int]:
             small += term
     return small, large
 
-
-def _root_order(adj: tuple[tuple[int, ...], ...], root: int) -> tuple[list[int], list[int]]:
-    """Vertices in breadth-first order from root, with the parent of each."""
-    n = len(adj)
-    parent = [-1] * n
-    order = [root]
-    seen = [False] * n
-    seen[root] = True
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                parent[u] = v
-                order.append(u)
-    return order, parent

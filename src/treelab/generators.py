@@ -21,6 +21,14 @@ class VertexCapError(ValueError):
     """Raised when a requested construction would exceed the vertex budget."""
 
 
+def check_vertex_cap(projected: int, vertex_cap: int, what: str) -> None:
+    """Raise VertexCapError when `what` would use more than vertex_cap
+    vertices: the one budget rule, which glue_power, convex_glue and every
+    `treelab gen` family apply before building."""
+    if projected > vertex_cap:
+        raise VertexCapError(f"{what} would use {projected} vertices, cap is {vertex_cap}")
+
+
 def make_path(n: int) -> Tree:
     """Path on vertices 0..n-1 in label order."""
     if n < 1:
@@ -55,7 +63,11 @@ def make_millipede(d: int, length: int) -> Tree:
     end_b = end_a + 1
     edges.append((0, end_a))
     edges.append((length - 1, end_b))
-    return make_tree(length * (d + 1) + 2, edges)
+    return make_tree(millipede_size(d, length), edges)
+
+
+def millipede_size(d: int, length: int) -> int:
+    return length * (d + 1) + 2
 
 
 def _require_leaf(t: Tree, v: int, label: str) -> None:
@@ -111,11 +123,7 @@ def glue_power(t: Tree, k: int, power: int, vertex_cap: int | None = None) -> Tr
     if k < 2:
         raise ValueError(f"window size must be >= 2, got k={k}")
     if vertex_cap is not None:
-        projected = glue_power_size(t.n, k, power)
-        if projected > vertex_cap:
-            raise VertexCapError(
-                f"gluing {power} copies would use {projected} vertices, cap is {vertex_cap}"
-            )
+        check_vertex_cap(glue_power_size(t.n, k, power), vertex_cap, f"gluing {power} copies")
     if power == 1:
         return t
     t_deg = degrees(t)
@@ -212,11 +220,7 @@ def convex_glue_multiplicities(
 
     if nominal:
         m_t0, m_s0 = ratio.numerator, ratio.denominator
-        if size(m_t0, m_s0) > vertex_cap:
-            raise VertexCapError(
-                f"balanced pair ({m_t0}, {m_s0}) needs {size(m_t0, m_s0)} vertices, "
-                f"cap is {vertex_cap}"
-            )
+        check_vertex_cap(size(m_t0, m_s0), vertex_cap, f"balanced pair {(m_t0, m_s0)}")
         return m_t0, m_s0
     # Largest pair under the cap with m_t/m_s as close to the ratio as
     # integers allow.  Parametrize by the smaller multiplier and round the
@@ -227,11 +231,7 @@ def convex_glue_multiplicities(
     else:
         def pair(m: int) -> tuple[int, int]:
             return m, max(1, round(m / ratio))
-    if size(*pair(1)) > vertex_cap:
-        raise VertexCapError(
-            f"smallest balanced pair {pair(1)} needs {size(*pair(1))} vertices, "
-            f"cap is {vertex_cap}"
-        )
+    check_vertex_cap(size(*pair(1)), vertex_cap, f"smallest balanced pair {pair(1)}")
     lo, hi = 1, 2
     while size(*pair(hi)) <= vertex_cap:
         lo, hi = hi, hi * 2

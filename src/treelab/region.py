@@ -20,13 +20,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalog import catalog_count, enumerate_trees
+from .catalog import enumerate_trees
 from .census import VerificationReport, _describe
 from .config import DEFAULT_DECIMAL_PRECISION, DEFAULT_VERTEX_CAP
 from .counting import (
     count_all,
-    count_connected_subsets,
-    count_copies,
     count_paths_fast,
     count_stars_fast,
     count_y_fast,
@@ -328,7 +326,9 @@ def inducibility_lower_bound(
     k = t.n
     if not schedule or sorted(schedule) != list(schedule) or schedule[0] < 1:
         raise ValueError("schedule must be increasing positive powers")
-    N = catalog_count(k)
+    catalog = enumerate_trees(k)
+    N = catalog.count
+    pattern = catalog.index_of[canonical_code(t)] - 1
     D = max(max_degree(t), 2)
     junk_cap = 2 * k * N * D ** (k - 2)
     sizes: list[int] = []
@@ -339,8 +339,9 @@ def inducibility_lower_bound(
         if glue_power_size(t.n, k, power) > vertex_cap:
             continue
         r = glue_power(t, k, power)
-        copies = count_copies(t, r)
-        z = count_connected_subsets(r, k)
+        record = count_all(r, k)
+        copies = record.per_type[pattern]
+        z = record.total
         powers.append(power)
         sizes.append(r.n)
         observed.append(Fraction(copies, z))

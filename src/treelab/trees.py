@@ -2,8 +2,9 @@
 
 A tree on n vertices is stored as an immutable pair (n, edges) with vertex
 labels 0..n-1.  Nothing else is cached on the object: degrees, adjacency,
-centers, and codes are derived on demand so that values can be shared freely
-across threads.
+centers, and codes are derived on demand.  Validation builds the adjacency
+lists in the same pass that checks them, and canonical codes and
+automorphism counts work from those lists.
 
 Canonical form convention: root the tree at its center; a bicentral tree is
 rooted at each endpoint of the central edge and the lexicographically smaller
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from math import factorial
 
 
@@ -48,62 +50,54 @@ def validate(t: Tree) -> str | None:
     """Return None if t is a valid tree, else a message naming the first
     violated invariant.
 
-    Checked in order: positive vertex count, endpoint range, no self-loops,
-    no duplicate edges, edge count n-1, connectivity, acyclicity.  The last
-    two are each checked directly even though either plus the edge count
-    implies the other.
+    One pass: the vertex count must be positive and the edge count n-1;
+    one loop over the edges checks endpoint range and self-loops while it
+    fills the adjacency lists; one traversal from vertex 0 must then reach
+    all n vertices.  A connected graph on n vertices with n-1 edges is a
+    tree, so a duplicate edge or a cycle needs no check of its own: either
+    spends an edge without joining a new vertex, which leaves some vertex
+    unreached, and is reported as "not connected".
     """
-    if t.n <= 0:
-        return f"vertex count must be positive, got {t.n}"
-    seen = set()
+    return _check(t)[0]
+
+
+def require_valid(t: Tree) -> list[list[int]]:
+    """Raise InvalidTreeError unless t passes validate(); return the
+    adjacency lists that check built."""
+    problem, adj = _check(t)
+    if problem is not None:
+        raise InvalidTreeError(problem)
+    return adj
+
+
+def _check(t: Tree) -> tuple[str | None, list[list[int]]]:
+    # The pass validate() describes: (first problem, []) or (None, adjacency).
+    n = t.n
+    if n <= 0:
+        return f"vertex count must be positive, got {n}", []
+    if len(t.edges) != n - 1:
+        return f"edge count {len(t.edges)} != n - 1 = {n - 1}", []
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in t.edges:
-        if not (0 <= u < t.n and 0 <= v < t.n):
-            return f"edge ({u}, {v}) out of range for {t.n} vertices"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) out of range for {n} vertices", []
         if u == v:
-            return f"self-loop at vertex {u}"
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            return f"duplicate edge ({key[0]}, {key[1]})"
-        seen.add(key)
-    if len(t.edges) != t.n - 1:
-        return f"edge count {len(t.edges)} != n - 1 = {t.n - 1}"
-    adj = adjacency(t)
-    # Connectivity: BFS from 0 must reach everything.
-    reached = bytearray(t.n)
+            return f"self-loop at vertex {u}", []
+        adj[u].append(v)
+        adj[v].append(u)
+    reached = bytearray(n)
     reached[0] = 1
     stack = [0]
     count = 1
     while stack:
-        v = stack.pop()
-        for w in adj[v]:
+        for w in adj[stack.pop()]:
             if not reached[w]:
                 reached[w] = 1
                 count += 1
                 stack.append(w)
-    if count != t.n:
-        return f"not connected: reached {count} of {t.n} vertices"
-    # Acyclicity: DFS with parent tracking must see no back edge.
-    parent = [-1] * t.n
-    visited = bytearray(t.n)
-    visited[0] = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not visited[w]:
-                visited[w] = 1
-                parent[w] = v
-                stack.append(w)
-            elif w != parent[v]:
-                return f"cycle through edge ({v}, {w})"
-    return None
-
-
-def require_valid(t: Tree) -> None:
-    """Raise InvalidTreeError unless t passes validate()."""
-    problem = validate(t)
-    if problem is not None:
-        raise InvalidTreeError(problem)
+    if count != n:
+        return f"not connected: reached {count} of {n} vertices", []
+    return None, adj
 
 
 def adjacency(t: Tree) -> list[list[int]]:
@@ -140,12 +134,16 @@ def lowest_leaf(t: Tree) -> int:
 
 def center(t: Tree) -> tuple[int, ...]:
     """The one or two middle vertices, found by peeling leaf layers."""
-    if t.n <= 2:
-        return tuple(range(t.n))
-    deg = degrees(t)
-    adj = adjacency(t)
-    layer = [v for v in range(t.n) if deg[v] == 1]
-    remaining = t.n
+    return _center(adjacency(t))
+
+
+def _center(adj: list[list[int]]) -> tuple[int, ...]:
+    n = len(adj)
+    if n <= 2:
+        return tuple(range(n))
+    deg = [len(a) for a in adj]
+    layer = [v for v in range(n) if deg[v] == 1]
+    remaining = n
     while remaining > 2:
         remaining -= len(layer)
         nxt = []
@@ -162,12 +160,11 @@ def center(t: Tree) -> tuple[int, ...]:
 
 def canonical_code(t: Tree) -> bytes:
     """Center-rooted canonical code; equal codes characterise isomorphism."""
-    require_valid(t)
-    c = center(t)
-    adj = adjacency(t)
+    adj = require_valid(t)
+    c = _center(adj)
     if len(c) == 1:
-        return _rooted_code(adj, c[0])
-    return min(_rooted_code(adj, c[0]), _rooted_code(adj, c[1]))
+        return _rooted_code(adj, c[0])[0]
+    return min(_rooted_code(adj, c[0])[0], _rooted_code(adj, c[1])[0])
 
 
 def is_isomorphic(a: Tree, b: Tree) -> bool:
@@ -183,23 +180,27 @@ def aut_size(t: Tree) -> int:
     """Order of the automorphism group.
 
     Rooted at the center, the count is the product over vertices of m! for
-    every group of m identical child codes; a bicentral tree with isomorphic
-    halves gains an extra factor 2 for the swap.
+    every group of m identical child codes; a bicentral tree is split at
+    the central edge into two rooted halves, and isomorphic halves gain an
+    extra factor 2 for the swap.
     """
-    require_valid(t)
-    if t.n == 1:
-        return 1
-    c = center(t)
-    adj = adjacency(t)
+    adj = require_valid(t)
+    c = _center(adj)
     if len(c) == 1:
-        return _rooted_aut(adj, c[0])
-    code0 = _rooted_code(adj, c[0], banned=c[1])
-    code1 = _rooted_code(adj, c[1], banned=c[0])
-    a = _rooted_aut(adj, c[0], banned=c[1]) * _rooted_aut(adj, c[1], banned=c[0])
-    return 2 * a if code0 == code1 else a
+        return _rooted_code(adj, c[0], count_aut=True)[1]
+    code0, aut0 = _rooted_code(adj, c[0], c[1], count_aut=True)
+    code1, aut1 = _rooted_code(adj, c[1], c[0], count_aut=True)
+    return 2 * aut0 * aut1 if code0 == code1 else aut0 * aut1
 
 
-def _bfs_order(adj: list[list[int]], root: int, banned: int) -> tuple[list[int], list[int]]:
+def bfs_order(adj: list[list[int]], root: int, banned: int = -1) -> tuple[list[int], list[int]]:
+    """Vertices of a tree in breadth-first order from root, and the parent
+    of each (root's parent is banned).
+
+    banned is -1 or a neighbour of root; in the latter case the walk stays
+    on root's side of that edge.  The walk tracks no visited set, so adj
+    must be a tree's adjacency.
+    """
     order = [root]
     parent = [-2] * len(adj)
     parent[root] = banned
@@ -212,34 +213,24 @@ def _bfs_order(adj: list[list[int]], root: int, banned: int) -> tuple[list[int],
     return order, parent
 
 
-def _rooted_code(adj: list[list[int]], root: int, banned: int = -1) -> bytes:
-    order, parent = _bfs_order(adj, root, banned)
-    code: list[bytes] = [b""] * len(adj)
-    for v in reversed(order):
-        pv = parent[v]
-        kids = sorted(code[w] for w in adj[v] if w != pv and w != banned)
-        code[v] = b"(" + b"".join(kids) + b")"
-    return code[root]
-
-
-def _rooted_aut(adj: list[list[int]], root: int, banned: int = -1) -> int:
-    order, parent = _bfs_order(adj, root, banned)
+def _rooted_code(
+    adj: list[list[int]], root: int, banned: int = -1, count_aut: bool = False
+) -> tuple[bytes, int]:
+    """Code of the tree rooted at root (on root's side of banned, as in
+    bfs_order) and, if count_aut, the order of its automorphism group: the
+    product over vertices of m! for every run of m equal child codes.
+    Without count_aut the second value is 1."""
+    order, parent = bfs_order(adj, root, banned)
     code: list[bytes] = [b""] * len(adj)
     aut = 1
     for v in reversed(order):
         pv = parent[v]
-        kids = sorted((code[w] for w in adj[v] if w != pv and w != banned))
-        run = 1
-        for i in range(1, len(kids)):
-            if kids[i] == kids[i - 1]:
-                run += 1
-            else:
-                aut *= factorial(run)
-                run = 1
-        if kids:
-            aut *= factorial(run)
+        kids = sorted(code[w] for w in adj[v] if w != pv)
+        if count_aut:
+            for _, run in groupby(kids):
+                aut *= factorial(sum(1 for _ in run))
         code[v] = b"(" + b"".join(kids) + b")"
-    return aut
+    return code[root], aut
 
 
 # ---------------------------------------------------------------------------

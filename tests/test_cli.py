@@ -135,6 +135,30 @@ class TestGen:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize("family, extra, size", [
+        ("path", ["--n", "31"], 31),
+        ("star", ["--n", "31"], 31),
+        ("millipede", ["--d", "2", "--length", "10"], 32),
+        ("random", ["--n", "31"], 31),
+    ])
+    def test_size_over_cap_exits_two(self, capsys, family, extra, size):
+        # The cap is small so that a missing check builds only a small tree.
+        code, out, err = run(capsys, "--vertex-cap", "30", "gen", family, *extra)
+        assert code == 2
+        assert out == ""
+        assert err == f"treelab: error: gen {family} would use {size} vertices, cap is 30\n"
+        code, out, _ = run(capsys, "--vertex-cap", str(size), "gen", family, *extra)
+        assert code == 0 and json.loads(out)["n"] == size
+
+    def test_glue_over_cap_exits_two(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        dump_tree(make_path(6), a)
+        code, out, err = run(capsys, "--vertex-cap", "15", "gen", "glue",
+                             "--t", str(a), "--s", str(a), "--k", "5")
+        assert code == 2
+        assert out == ""
+        assert err == "treelab: error: gen glue would use 16 vertices, cap is 15\n"
+
     def test_random_deterministic(self, capsys):
         _, out1, _ = run(capsys, "gen", "random", "--n", "12", "--seed", "5")
         _, out2, _ = run(capsys, "gen", "random", "--n", "12", "--seed", "5")

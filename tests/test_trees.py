@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from treelab.generators import make_path, make_star, prufer_to_tree, random_tree
 from treelab.trees import (
     InvalidTreeError,
     Tree,
+    adjacency,
     aut_size,
+    bfs_order,
     canonical_code,
     center,
     degrees,
@@ -26,6 +30,7 @@ from treelab.trees import (
     require_valid,
     tree_from_json,
     tree_to_json,
+    validate,
 )
 
 
@@ -36,7 +41,77 @@ def random_trees(max_n: int):
     )
 
 
+def union_find_is_tree(n: int, edges) -> bool:
+    """Independent tree test: n >= 1, n-1 edges, endpoints in range, and
+    every edge joining two different components."""
+    if n < 1 or len(edges) != n - 1:
+        return False
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return False
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        root[ru] = rv
+    return True
+
+
+@st.composite
+def edge_lists(draw, max_n: int):
+    """Strategy: (n, edges) with n in -1..max_n.  Half start from a random
+    tree, the rest from n-1 random in-range pairs; up to two edits then
+    move an endpoint anywhere in -2..max_n+1 (self-loops, negative and
+    too-large labels), copy an edge over another (duplicates, either
+    orientation), or drop or add an edge."""
+    n = draw(st.integers(-1, max_n))
+    label = st.integers(-2, max_n + 1)
+    if n >= 1 and draw(st.booleans()):
+        edges = list(random_tree(n, draw(st.integers(0, 2**32 - 1))).edges)
+    else:
+        inside = st.integers(0, max(n - 1, 0))
+        m = max(n - 1, 0)
+        edges = draw(st.lists(st.tuples(inside, inside), min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(("endpoint", "copy", "drop", "add")))
+        if edit == "add":
+            edges.append((draw(label), draw(label)))
+            continue
+        if not edges:
+            continue
+        i = draw(st.integers(0, len(edges) - 1))
+        if edit == "endpoint":
+            edges[i] = (draw(label), edges[i][1])
+        elif edit == "copy":
+            u, v = edges[draw(st.integers(0, len(edges) - 1))]
+            edges[i] = (v, u) if draw(st.booleans()) else (u, v)
+        else:
+            del edges[i]
+    return n, tuple(edges)
+
+
 class TestValidation:
+    @settings(max_examples=600, deadline=None)
+    @given(edge_lists(8))
+    def test_agrees_with_union_find(self, case):
+        n, edges = case
+        t = Tree(n, edges)
+        problem = validate(t)
+        assert (problem is None) == union_find_is_tree(n, edges)
+        if problem is None:
+            assert require_valid(t) == adjacency(t)
+        else:
+            assert "\n" not in problem
+            with pytest.raises(InvalidTreeError, match=re.escape(problem)):
+                require_valid(t)
+
     def test_single_vertex(self):
         t = make_tree(1, ())
         require_valid(t)
@@ -147,6 +222,19 @@ class TestAutomorphisms:
         t = make_tree(6, ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5)))
         assert aut_size(t) == 8
 
+    def test_matches_permutation_count(self):
+        # Oracle: count the vertex permutations that map the edge set onto itself.
+        from treelab.catalog import enumerate_trees
+
+        for n in range(1, 8):
+            for t in enumerate_trees(n).entries:
+                edges = {frozenset(e) for e in t.edges}
+                brute = sum(
+                    1 for perm in itertools.permutations(range(n))
+                    if all(frozenset((perm[u], perm[v])) in edges for u, v in t.edges)
+                )
+                assert aut_size(t) == brute
+
     def test_labeled_tree_count_identity(self):
         # Sum of n!/|Aut| over shapes equals the labeled count n^(n-2).
         from treelab.catalog import enumerate_trees
@@ -220,6 +308,23 @@ class TestSerialization:
         obj["edges"][i][side] = data.draw(st.sampled_from([float(u), bool(u % 2), str(u), None]))
         with pytest.raises(InvalidTreeError, match=f"edge {i} "):
             tree_from_json(obj)
+
+
+class TestBfsOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(random_trees(30), st.data())
+    def test_matches_visited_set_bfs(self, t, data):
+        adj = adjacency(t)
+        root = data.draw(st.integers(0, t.n - 1))
+        order, parent = [root], [-1] * t.n
+        seen = {root}
+        for v in order:
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    parent[w] = v
+                    order.append(w)
+        assert bfs_order(adj, root) == (order, parent)
 
 
 class TestPruferDecode:
