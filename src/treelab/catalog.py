@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .config import DEFAULT_MAX_K
 from .generators import make_path, make_star
-from .trees import Tree, canonical_code, degrees, make_tree
+from .trees import Tree, adjacency, adjacency_code, degrees, make_tree
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ def _classes(n: int, dmax: int | None) -> dict[bytes, Tree]:
     one cache key.
     """
     if n == 1:
-        t = make_tree(1, [])
-        return {canonical_code(t): t}
+        return {adjacency_code([[]]): make_tree(1, [])}
     out: dict[bytes, Tree] = {}
     for _, parent in sorted(_classes(n - 1, dmax).items()):
         deg = degrees(parent)
@@ -69,7 +68,7 @@ def _classes(n: int, dmax: int | None) -> dict[bytes, Tree]:
             if dmax is not None and deg[v] >= dmax:
                 continue
             t = Tree(n, parent.edges + ((v, n - 1),))
-            code = canonical_code(t)
+            code = adjacency_code(adjacency(t))
             if code not in out:
                 out[code] = t
     return out
@@ -78,8 +77,8 @@ def _classes(n: int, dmax: int | None) -> dict[bytes, Tree]:
 @lru_cache(maxsize=None)
 def _catalog(k: int) -> TreeCatalog:
     classes = _classes(k, None)
-    path_code = canonical_code(make_path(k))
-    star_code = canonical_code(make_star(k))
+    path_code = adjacency_code(adjacency(make_path(k)))
+    star_code = adjacency_code(adjacency(make_star(k)))
     head = [path_code]
     if star_code != path_code:
         head.append(star_code)

@@ -149,7 +149,13 @@ def _cmd_gen(args, cfg: Config) -> int:
     return 0
 
 
+def _check_catalog_cap(command: str, max_n: int, cfg: Config) -> None:
+    if max_n > cfg.max_k:
+        raise ValueError(f"{command} --max-n {max_n} exceeds the catalog cap --max-k {cfg.max_k}")
+
+
 def _cmd_verify(args, cfg: Config) -> int:
+    _check_catalog_cap("verify", args.max_n, cfg)
     ks = (args.k,) if args.k is not None else (5, 6)
     reports = run_suite(args.suite, args.max_n, ks)
     payload = [_jsonify_report(r, cfg.decimal_precision) for r in reports]
@@ -168,6 +174,7 @@ def _cmd_region(args, cfg: Config) -> int:
 
 
 def _cmd_scan(args, cfg: Config) -> int:
+    _check_catalog_cap("scan", args.max_n, cfg)
     seed = args.local_seed if args.local_seed is not None else cfg.seed
     report = conjecture_scan(args.max_n, seed, args.budget)
     payload = {

@@ -2,18 +2,17 @@
 
 A window of a tree is a set of k vertices whose induced subgraph is
 connected; in a tree that induced subgraph is itself a tree, so every
-window has a well-defined shape.  This module enumerates windows, tallies
-them by shape against the catalog order, and provides closed-form fast
-counters for the three 5-vertex shapes: P (paths), S (stars), and Y (the
-fork, a degree-3 center with one branch of two vertices).
+window has a well-defined shape.  This module counts windows by shape
+against the catalog order, and provides closed-form fast counters for the
+three 5-vertex shapes: P (paths), S (stars), and Y (the fork, a degree-3
+center with one branch of two vertices).
 
-The enumerator grows windows from an anchor vertex using only vertices
-with larger labels, so each window is produced exactly once.  While a
-window grows, each added vertex attaches to exactly one earlier vertex
-(two attachments would close a cycle), so the sequence of attachment
-positions pins down the shape; shapes are resolved through a cache keyed
-by that sequence, and the expensive canonical-form computation runs once
-per distinct sequence rather than once per window.
+Windows are counted, never listed, by one leaf-to-root dynamic program
+over rooted shapes (after Szekely and Wang, "On subtrees of trees"): a
+window is its top vertex plus, per child, nothing or a set topped by that
+child.  Shapes are ids in a table local to each call, so the cost grows
+with n and k, not with the number of windows, and each k-vertex rooted
+shape found is un-rooted to its canonical code once.
 
 All counts are exact big integers, all densities exact fractions; decimal
 strings are rendered only at the output boundary.
@@ -28,89 +27,85 @@ from fractions import Fraction
 
 from .catalog import enumerate_trees
 from .config import DEFAULT_MAX_K
-from .trees import Tree, adjacency, bfs_order, canonical_code, degrees, make_tree
-
-_PARENT_CODE_CACHE: dict[tuple[int, ...], bytes] = {}
+from .trees import Tree, adjacency, adjacency_code, bfs_order, canonical_code, degrees
 
 
-def _code_of_attachment_sequence(parents: tuple[int, ...]) -> bytes:
-    """Canonical form of the window shape encoded by attachment positions."""
-    code = _PARENT_CODE_CACHE.get(parents)
-    if code is None:
-        k = len(parents) + 1
-        code = canonical_code(make_tree(k, [(parents[i], i + 1) for i in range(k - 1)]))
-        _PARENT_CODE_CACHE[parents] = code
-    return code
-
-
-def _tally_shapes(t: Tree, k: int) -> dict[tuple[int, ...], int]:
-    """Whole-tree window counts keyed by attachment-position sequence."""
-    tallies: dict[tuple[int, ...], int] = {}
-    if k == 1:
-        if t.n:
-            tallies[()] = t.n
-        return tallies
-    adj = adjacency(t)
-
-    def grow(anchor: int, sub: tuple[int, ...], pool: list, parents: tuple[int, ...]) -> None:
-        last = len(sub) + 1 == k
-        while pool:
-            w, pos = pool.pop()
-            key = parents + (pos,)
-            if last:
-                tallies[key] = tallies.get(key, 0) + 1
-                continue
-            parent_vertex = sub[pos]
-            fresh = [(u, len(sub)) for u in adj[w] if u > anchor and u != parent_vertex]
-            grow(anchor, sub + (w,), pool + fresh, key)
-
-    for anchor in range(t.n):
-        ext = [(u, 0) for u in adj[anchor] if u > anchor]
-        if ext:
-            grow(anchor, (anchor,), ext, ())
-    # grow refers to itself through its closure; breaking that cycle frees
-    # adj on return instead of at the next full garbage collection, which
-    # on large hosts would keep one adjacency alive into the next count.
-    del grow
-    return tallies
-
-
-def enumerate_connected_subsets(t: Tree, k: int):
-    """Yield every window as a sorted vertex tuple, each exactly once.
-
-    The traversal order is deterministic for a fixed tree but not
-    lexicographic.  Empty stream when the tree has fewer than k vertices.
-    """
+def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]]]:
+    """Number of windows of k vertices of t per rooted shape, each window
+    rooted at its top vertex, and the shape table: shape s has the sorted
+    child shapes kids[s], and shape 0 is the lone vertex."""
     if k < 1:
         raise ValueError(f"window size must be >= 1, got k={k}")
+    kids: list[tuple[int, ...]] = [()]
     if k == 1:
-        for v in range(t.n):
-            yield (v,)
-        return
+        return {0: t.n}, kids
+    # size[s] is the vertex count of shape s, ids finds a shape from its
+    # children, and joined[s, r] is s with one more child subtree r.
+    size = [1]
+    ids: dict[tuple[int, ...], int] = {(): 0}
+    joined: dict[tuple[int, int], int] = {}
+    tally: dict[int, int] = {}
     adj = adjacency(t)
-
-    def grow(anchor: int, sub: tuple[int, ...], pool: list):
-        last = len(sub) + 1 == k
-        while pool:
-            w, pos = pool.pop()
-            if last:
-                yield tuple(sorted(sub + (w,)))
+    order = bfs_order(adj, 0)[0]
+    lone = {0: 1}
+    # below[v]: shape -> sets of fewer than k vertices topped by v, kept
+    # until v's parent, whose done neighbours are exactly its children.
+    below: list = [None] * t.n
+    for v in reversed(order):
+        top = lone
+        for c in adj[v]:
+            sub = below[c]
+            if sub is None:
                 continue
-            parent_vertex = sub[pos]
-            fresh = [(u, len(sub)) for u in adj[w] if u > anchor and u != parent_vertex]
-            yield from grow(anchor, sub + (w,), pool + fresh)
+            below[c] = None
+            grown = dict(top)
+            for s, a in top.items():
+                room = k - size[s]
+                for r, b in sub.items():
+                    m = size[r]
+                    if m > room:
+                        continue
+                    j = joined.get((s, r))
+                    if j is None:
+                        key = tuple(sorted(kids[s] + (r,)))
+                        j = ids.get(key)
+                        if j is None:
+                            j = ids[key] = len(kids)
+                            kids.append(key)
+                            size.append(size[s] + m)
+                        joined[s, r] = j
+                    if m == room:
+                        tally[j] = tally.get(j, 0) + a * b
+                    else:
+                        grown[j] = grown.get(j, 0) + a * b
+            top = grown
+        below[v] = top
+        adj[v] = None  # not read again; frees memory as the walk goes
+    return tally, kids
 
-    for anchor in range(t.n):
-        ext = [(u, 0) for u in adj[anchor] if u > anchor]
-        if ext:
-            yield from grow(anchor, (anchor,), ext)
+
+def _window_tally(t: Tree, k: int) -> dict[bytes, int]:
+    """Number of windows of k vertices of t, keyed by canonical code."""
+    tally, kids = _rooted_tally(t, k)
+    out: dict[bytes, int] = {}
+    for s, c in tally.items():
+        # Un-root: lay shape s out as a tree, its root at vertex 0.
+        shape: list[list[int]] = [[]]
+        stack = [(0, s)]
+        while stack:
+            v, sv = stack.pop()
+            for r in kids[sv]:
+                shape[v].append(len(shape))
+                shape.append([v])
+                stack.append((len(shape) - 1, r))
+        code = adjacency_code(shape)
+        out[code] = out.get(code, 0) + c
+    return out
 
 
 def count_connected_subsets(t: Tree, k: int) -> int:
     """Total number of windows of k vertices (the Z total)."""
-    if k < 1:
-        raise ValueError(f"window size must be >= 1, got k={k}")
-    return sum(_tally_shapes(t, k).values())
+    return sum(_rooted_tally(t, k)[0].values())
 
 
 @dataclass(frozen=True)
@@ -147,14 +142,14 @@ class ProfileVector:
 
 
 def count_all(t: Tree, k: int, max_k: int = DEFAULT_MAX_K) -> CountsRecord:
-    """Window counts per shape in one enumeration pass.
+    """Window counts per shape in one counting pass.
 
     A tree with fewer than k vertices yields all zeros with total 0.
     """
     catalog = enumerate_trees(k, max_k)
     counts = [0] * catalog.count
-    for parents, c in _tally_shapes(t, k).items():
-        counts[catalog.index_of[_code_of_attachment_sequence(parents)] - 1] += c
+    for code, c in _window_tally(t, k).items():
+        counts[catalog.index_of[code] - 1] = c
     return CountsRecord(k=k, per_type=tuple(counts), total=sum(counts))
 
 
@@ -163,17 +158,10 @@ def count_copies(s: Tree, t: Tree) -> int:
 
     A window is a vertex subset inducing a connected subgraph; copies are
     counted as subsets, not as maps, so a pattern with symmetries is still
-    counted once per subset.
+    counted once per subset.  s may exceed the catalog cap.
     """
-    k = s.n
-    if k == 1:
-        return t.n
     target = canonical_code(s)
-    total = 0
-    for parents, c in _tally_shapes(t, k).items():
-        if _code_of_attachment_sequence(parents) == target:
-            total += c
-    return total
+    return _window_tally(t, s.n).get(target, 0)
 
 
 def profile(t: Tree, k: int, max_k: int = DEFAULT_MAX_K) -> ProfileVector:

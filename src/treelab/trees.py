@@ -160,7 +160,12 @@ def _center(adj: list[list[int]]) -> tuple[int, ...]:
 
 def canonical_code(t: Tree) -> bytes:
     """Center-rooted canonical code; equal codes characterise isomorphism."""
-    adj = require_valid(t)
+    return adjacency_code(require_valid(t))
+
+
+def adjacency_code(adj: list[list[int]]) -> bytes:
+    """canonical_code of the tree with these adjacency lists, unchecked:
+    for lists that treelab built itself and knows to describe a tree."""
     c = _center(adj)
     if len(c) == 1:
         return _rooted_code(adj, c[0])[0]

@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles.
 
-The oracles here deliberately avoid the library's window enumerator:
-they test every vertex subset for connectivity and classify by canonical
+The oracles here deliberately avoid the library's counting engine: the
+naive census tests every vertex subset for connectivity, the subset
+generator lists every window one by one, and both classify by canonical
 code, so agreement with the engine is meaningful evidence.
 """
 
@@ -46,6 +47,36 @@ def naive_window_census(t: Tree, k: int) -> dict[bytes, int]:
             code = canonical_code(induced_subtree(t, subset))
             out[code] = out.get(code, 0) + 1
     return out
+
+
+def enumerate_connected_subsets(t: Tree, k: int):
+    """Yield every window of k vertices as a sorted vertex tuple, each once.
+
+    Windows grow from an anchor vertex using only larger labels, so each
+    is produced from its smallest vertex exactly once; the pool holds the
+    frontier as (vertex, position of its attachment in the window).
+    """
+    if k == 1:
+        for v in range(t.n):
+            yield (v,)
+        return
+    adj = adjacency(t)
+
+    def grow(anchor, sub, pool):
+        last = len(sub) + 1 == k
+        while pool:
+            w, pos = pool.pop()
+            if last:
+                yield tuple(sorted(sub + (w,)))
+                continue
+            parent_vertex = sub[pos]
+            fresh = [(u, len(sub)) for u in adj[w] if u > anchor and u != parent_vertex]
+            yield from grow(anchor, sub + (w,), pool + fresh)
+
+    for anchor in range(t.n):
+        ext = [(u, 0) for u in adj[anchor] if u > anchor]
+        if ext:
+            yield from grow(anchor, (anchor,), ext)
 
 
 def naive_copy_count(pattern: Tree, host: Tree) -> int:

@@ -122,7 +122,7 @@ def test_criterion_03_millipede_closed_forms():
                 ok = False
             if count_y_fast(t) != y_want:
                 ok = False
-    # tie the generic enumerator to the same values on a sample
+    # tie the generic counting engine to the same values on a sample
     for d, length in ((0, 10), (1, 3), (1, 10), (2, 3), (2, 10), (3, 5)):
         t = make_millipede(d, length)
         cat = enumerate_trees(5)

@@ -197,6 +197,17 @@ class TestVerify:
         assert all("k=5" in r["inputs"] for r in window)
 
 
+class TestCatalogCap:
+    @pytest.mark.parametrize("command,extra", [("verify", []), ("scan", ["--budget", "5"])])
+    def test_max_n_over_catalog_cap_exits_two(self, capsys, command, extra):
+        code, out, err = run(capsys, "--max-k", "6", command, "--max-n", "7", *extra)
+        assert code == 2
+        assert out == ""
+        assert err == f"treelab: error: {command} --max-n 7 exceeds the catalog cap --max-k 6\n"
+        code, out, _ = run(capsys, "--max-k", "6", command, "--max-n", "6", *extra)
+        assert code == 0 and json.loads(out)
+
+
 class TestRegionScan:
     def test_region_csv(self, capsys):
         code, out, _ = run(capsys, "region", "--d-max", "2", "--samples", "4")

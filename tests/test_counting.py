@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_copy_count, naive_window_census
+from conftest import enumerate_connected_subsets, induced_subtree, naive_copy_count, naive_window_census
 from treelab.catalog import enumerate_trees
 from treelab.counting import (
     count_all,
@@ -16,7 +16,6 @@ from treelab.counting import (
     count_stars_fast,
     count_y_fast,
     count_y_split,
-    enumerate_connected_subsets,
     fraction_to_decimal,
     profile,
 )
@@ -58,6 +57,42 @@ class TestOracleEquivalence:
         t = random_tree(n, seed)
         got, _ = record_as_census(t, min(k, n))
         assert got == naive_window_census(t, min(k, n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(14, 40), st.integers(0, 2**32 - 1), st.integers(5, 8))
+    def test_listed_windows_random_host(self, n, seed, k):
+        # hosts too large for the C(n, k) census: classify every listed window
+        t = random_tree(n, seed)
+        want: dict[bytes, int] = {}
+        for subset in enumerate_connected_subsets(t, k):
+            code = canonical_code(induced_subtree(t, subset))
+            want[code] = want.get(code, 0) + 1
+        got, rec = record_as_census(t, k)
+        assert got == want
+        assert rec.total == sum(want.values())
+
+
+class TestManyWindows:
+    """Hosts with far more windows than vertices; counting does not list them."""
+
+    def test_star_host_eight_windows(self):
+        import math
+
+        cat = enumerate_trees(8)
+        rec = count_all(make_star(60), 8)
+        assert rec.per_type[cat.star_index] == math.comb(59, 7)
+        assert rec.total == math.comb(59, 7)
+        assert sum(1 for c in rec.per_type if c) == 1
+
+    @pytest.mark.parametrize("d,k", [(2, 7), (1, 8), (3, 6)])
+    def test_millipede_counts_affine_in_length(self, d, k):
+        rows = [count_all(make_millipede(d, length), k).per_type for length in range(k + 1, k + 5)]
+        for a, b, c in zip(rows, rows[1:], rows[2:]):
+            assert [x - 2 * y + z for x, y, z in zip(a, b, c)] == [0] * len(a)
+        assert any(x != y for x, y in zip(rows[0], rows[1]))
+
+    def test_copies_above_catalog_cap(self):
+        assert count_copies(make_path(14), make_path(20)) == 7
 
 
 class TestCountCopies:
