@@ -17,6 +17,7 @@ import argparse
 import io
 import sys
 
+from treelab.config import DEFAULT_DECIMAL_PRECISION
 from treelab.counting import fraction_to_decimal
 from treelab.generators import make_millipede
 from treelab.region import emit_figure_data, projection_point
@@ -27,7 +28,7 @@ def main():
     ap.add_argument("--out", help="target CSV path (default: stdout)")
     ap.add_argument("--d-max", type=int, default=8)
     ap.add_argument("--samples", type=int, default=50)
-    ap.add_argument("--precision", type=int, default=12)
+    ap.add_argument("--precision", type=int, default=DEFAULT_DECIMAL_PRECISION)
     ap.add_argument("--finite-lengths", default="5,10,20",
                     help="millipede lengths for the finite overlay; empty to skip")
     args = ap.parse_args()

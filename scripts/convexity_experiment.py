@@ -18,6 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
+from treelab.config import DEFAULT_VERTEX_CAP
 from treelab.counting import fraction_to_decimal, profile
 from treelab.generators import VertexCapError, convex_glue, make_path, make_star
 
@@ -28,7 +29,7 @@ def main():
                     help="comma-separated base sizes L")
     ap.add_argument("--alpha", type=int, default=1)
     ap.add_argument("--beta", type=int, default=2)
-    ap.add_argument("--vertex-cap", type=int, default=1_000_000)
+    ap.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
     args = ap.parse_args()
 
     a, b = args.alpha, args.beta

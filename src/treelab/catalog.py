@@ -8,9 +8,9 @@ the star second (for k <= 3 the two coincide and the star index aliases the
 path); all remaining entries follow in ascending canonical-code order, which
 makes catalog positions stable across runs and platforms.
 
-The default size cap keeps accidental k^k-ish workloads out of scripts; pass
-a larger ``max_k`` explicitly to go beyond it.  The brute-force cross-check
-for catalog sizes lives in the test suite and in
+There is no size cap here (1,301 classes at 13 vertices, 823,065 at 20):
+the command line checks every size against ``--max-k``.  The brute-force
+cross-check for catalog sizes lives in the test suite and in
 ``scripts/count_trees_bruteforce.py``.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .config import DEFAULT_MAX_K
 from .generators import make_path, make_star
 from .trees import Tree, adjacency, adjacency_code, degrees, make_tree
 
@@ -96,29 +95,21 @@ def _catalog(k: int) -> TreeCatalog:
     )
 
 
-def enumerate_trees(k: int, max_k: int = DEFAULT_MAX_K) -> TreeCatalog:
-    """Catalog of all k-vertex trees in published order.
-
-    Raises ValueError beyond the size cap; raise the cap explicitly for
-    bigger catalogs (generation cost grows with the class counts).
-    """
+def enumerate_trees(k: int) -> TreeCatalog:
+    """Catalog of all k-vertex trees in published order, cached per k."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if k > max_k:
-        raise ValueError(f"k = {k} exceeds the catalog cap {max_k}; pass a larger max_k to allow it")
     return _catalog(k)
 
 
-def catalog_count(k: int, max_k: int = DEFAULT_MAX_K) -> int:
+def catalog_count(k: int) -> int:
     """Number of k-vertex trees up to isomorphism."""
-    return enumerate_trees(k, max_k).count
+    return enumerate_trees(k).count
 
 
-def enumerate_trees_bounded_degree(n: int, dmax: int = 3, max_n: int = 16) -> tuple[Tree, ...]:
+def enumerate_trees_bounded_degree(n: int, dmax: int = 3) -> tuple[Tree, ...]:
     """All n-vertex trees with maximum degree <= dmax, ascending code order."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n > max_n:
-        raise ValueError(f"n = {n} exceeds the cap {max_n}; pass a larger max_n to allow it")
     classes = _classes(n, dmax)
     return tuple(classes[c] for c in sorted(classes))

@@ -398,11 +398,11 @@ def run_suite(
     reports: list[VerificationReport] = []
     if suite in ("census", "all"):
         for n in range(2, max_n + 1):
-            for t in enumerate_trees_bounded_degree(n, 3, max_n=max(max_n, 16)):
+            for t in enumerate_trees_bounded_degree(n, 3):
                 reports.extend(_census_checks_for(t))
     if suite in ("lemmas", "all"):
         for n in range(2, max_n + 1):
-            for t in enumerate_trees(n, max_k=max(max_n, 12)).entries:
+            for t in enumerate_trees(n).entries:
                 reports.extend(_lemma_checks_for(t, ks))
         for k in (6, 8):
             for length in (10, 20):

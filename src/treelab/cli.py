@@ -30,6 +30,7 @@ from .generators import (
     convex_glue,
     glue,
     glue_power,
+    glue_power_size,
     glue_size,
     make_millipede,
     make_path,
@@ -82,17 +83,25 @@ def _jsonify_report(r: VerificationReport, digits: int) -> dict:
     return out
 
 
+def _check_catalog_cap(k: int, what: str, cfg: Config) -> None:
+    # Every command checks its largest catalog before it builds anything.
+    if k > cfg.max_k:
+        raise ValueError(f"{what} exceeds the catalog cap --max-k {cfg.max_k}")
+
+
 def _cmd_enum(args, cfg: Config) -> int:
-    catalog = enumerate_trees(args.k, cfg.max_k)
+    _check_catalog_cap(args.k, f"enum --k {args.k}", cfg)
+    catalog = enumerate_trees(args.k)
     payload = [tree_to_json(t) for t in catalog.entries]
     _write_output(json.dumps(payload, indent=2), args.out)
     return 0
 
 
 def _cmd_profile(args, cfg: Config) -> int:
+    _check_catalog_cap(args.k, f"profile --k {args.k}", cfg)
     t = load_tree(args.tree)
     digits = cfg.decimal_precision
-    record = count_all(t, args.k, cfg.max_k)
+    record = count_all(t, args.k)
     pv = record.profile_vector(t.n)
     if args.format == "csv":
         lines = ["index,decimal,exact" + (",count" if args.counts else "")]
@@ -135,12 +144,15 @@ def _cmd_gen(args, cfg: Config) -> int:
         leaf_s = args.leaf_s if args.leaf_s is not None else lowest_leaf(b)
         t = glue(a, b, args.k, leaf_t, leaf_s)
     elif args.family == "gluepower":
-        t = glue_power(load_tree(args.t), args.k, args.power, vertex_cap=cap)
+        a = load_tree(args.t)
+        check_vertex_cap(glue_power_size(a.n, args.k, args.power), cap, "gen gluepower")
+        t = glue_power(a, args.k, args.power)
     elif args.family == "convex":
-        t = convex_glue(
-            load_tree(args.t), load_tree(args.s), args.k, args.alpha, args.beta,
-            vertex_cap=cap, nominal=args.nominal,
-        )
+        a = load_tree(args.t)
+        b = load_tree(args.s)
+        # The smallest result; convex_glue glues copies before its own check.
+        check_vertex_cap(glue_size(a.n, b.n, args.k), cap, "gen convex")
+        t = convex_glue(a, b, args.k, args.alpha, args.beta, vertex_cap=cap, nominal=args.nominal)
     else:
         check_vertex_cap(args.n, cap, "gen random")
         seed = args.local_seed if args.local_seed is not None else cfg.seed
@@ -149,14 +161,11 @@ def _cmd_gen(args, cfg: Config) -> int:
     return 0
 
 
-def _check_catalog_cap(command: str, max_n: int, cfg: Config) -> None:
-    if max_n > cfg.max_k:
-        raise ValueError(f"{command} --max-n {max_n} exceeds the catalog cap --max-k {cfg.max_k}")
-
-
 def _cmd_verify(args, cfg: Config) -> int:
-    _check_catalog_cap("verify", args.max_n, cfg)
+    _check_catalog_cap(args.max_n, f"verify --max-n {args.max_n}", cfg)
     ks = (args.k,) if args.k is not None else (5, 6)
+    if args.suite != "census":  # only the window-bound checks build k-catalogs
+        _check_catalog_cap(max(ks), f"verify --k {max(ks)}", cfg)
     reports = run_suite(args.suite, args.max_n, ks)
     payload = [_jsonify_report(r, cfg.decimal_precision) for r in reports]
     _write_output(json.dumps(payload, indent=2), args.report)
@@ -166,15 +175,13 @@ def _cmd_verify(args, cfg: Config) -> int:
 
 
 def _cmd_region(args, cfg: Config) -> int:
-    if args.out is None:
-        emit_figure_data(args.d_max, sys.stdout, args.samples, cfg.decimal_precision)
-    else:
-        emit_figure_data(args.d_max, args.out, args.samples, cfg.decimal_precision)
+    out = sys.stdout if args.out is None else args.out
+    emit_figure_data(args.d_max, out, args.samples, cfg.decimal_precision)
     return 0
 
 
 def _cmd_scan(args, cfg: Config) -> int:
-    _check_catalog_cap("scan", args.max_n, cfg)
+    _check_catalog_cap(args.max_n, f"scan --max-n {args.max_n}", cfg)
     seed = args.local_seed if args.local_seed is not None else cfg.seed
     report = conjecture_scan(args.max_n, seed, args.budget)
     payload = {
@@ -190,6 +197,7 @@ def _cmd_scan(args, cfg: Config) -> int:
 
 def _cmd_inducibility(args, cfg: Config) -> int:
     t = load_tree(args.tree)
+    _check_catalog_cap(t.n, f"inducibility --tree with {t.n} vertices", cfg)
     schedule = tuple(int(x) for x in args.schedule.split(",")) if args.schedule else (1, 2, 4, 8, 16)
     report = inducibility_lower_bound(t, schedule, cfg.vertex_cap)
     digits = cfg.decimal_precision

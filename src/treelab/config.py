@@ -3,8 +3,9 @@
 Resolution order for the command-line tool: explicit flags beat TREELAB_*
 environment variables, which beat the config file, which beats the defaults
 below.  The config file is plain ``key = value`` lines with ``#`` comments.
-Library functions take the relevant knobs as ordinary arguments; Config is
-the bundle the CLI resolves once and threads through.
+Config is the bundle the CLI resolves once and threads through.  Only the
+CLI enforces budgets (max_k, vertex_cap) before building anything; library
+functions take vertex_cap only where it sizes the result.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import enumerate_trees
-from .config import DEFAULT_MAX_K
 from .trees import Tree, adjacency, adjacency_code, bfs_order, canonical_code, degrees
 
 
@@ -141,12 +140,12 @@ class ProfileVector:
         return tuple(fraction_to_decimal(c, digits) for c in self.coords)
 
 
-def count_all(t: Tree, k: int, max_k: int = DEFAULT_MAX_K) -> CountsRecord:
+def count_all(t: Tree, k: int) -> CountsRecord:
     """Window counts per shape in one counting pass.
 
     A tree with fewer than k vertices yields all zeros with total 0.
     """
-    catalog = enumerate_trees(k, max_k)
+    catalog = enumerate_trees(k)
     counts = [0] * catalog.count
     for code, c in _window_tally(t, k).items():
         counts[catalog.index_of[code] - 1] = c
@@ -158,15 +157,15 @@ def count_copies(s: Tree, t: Tree) -> int:
 
     A window is a vertex subset inducing a connected subgraph; copies are
     counted as subsets, not as maps, so a pattern with symmetries is still
-    counted once per subset.  s may exceed the catalog cap.
+    counted once per subset.  No catalog is built, so s may be of any size.
     """
     target = canonical_code(s)
     return _window_tally(t, s.n).get(target, 0)
 
 
-def profile(t: Tree, k: int, max_k: int = DEFAULT_MAX_K) -> ProfileVector:
+def profile(t: Tree, k: int) -> ProfileVector:
     """Normalized shape distribution of the k-windows of t."""
-    return count_all(t, k, max_k).profile_vector(t.n)
+    return count_all(t, k).profile_vector(t.n)
 
 
 def fraction_to_decimal(value: Fraction, digits: int = 12) -> str:

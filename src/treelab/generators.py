@@ -23,8 +23,8 @@ class VertexCapError(ValueError):
 
 def check_vertex_cap(projected: int, vertex_cap: int, what: str) -> None:
     """Raise VertexCapError when `what` would use more than vertex_cap
-    vertices: the one budget rule, which glue_power, convex_glue and every
-    `treelab gen` family apply before building."""
+    vertices: the one budget rule, which convex_glue and every `treelab gen`
+    family apply before building."""
     if projected > vertex_cap:
         raise VertexCapError(f"{what} would use {projected} vertices, cap is {vertex_cap}")
 
@@ -110,7 +110,7 @@ def glue_power_size(n_t: int, k: int, power: int) -> int:
     return power * n_t + (power - 1) * (k - 1)
 
 
-def glue_power(t: Tree, k: int, power: int, vertex_cap: int | None = None) -> Tree:
+def glue_power(t: Tree, k: int, power: int) -> Tree:
     """Iterate gluing power-1 times, always joining at the lowest leaves.
 
     Equivalent, label for label, to folding glue() over copies of t with
@@ -122,8 +122,6 @@ def glue_power(t: Tree, k: int, power: int, vertex_cap: int | None = None) -> Tr
         raise ValueError(f"power must be >= 1, got {power}")
     if k < 2:
         raise ValueError(f"window size must be >= 2, got k={k}")
-    if vertex_cap is not None:
-        check_vertex_cap(glue_power_size(t.n, k, power), vertex_cap, f"gluing {power} copies")
     if power == 1:
         return t
     t_deg = degrees(t)

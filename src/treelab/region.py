@@ -254,6 +254,8 @@ def conjecture_scan(max_n: int = 10, seed: int = 0, budget: int = 200) -> ScanRe
     """
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     best: tuple[int, bytes, Tree] | None = None
     examined = 0
 
@@ -266,7 +268,7 @@ def conjecture_scan(max_n: int = 10, seed: int = 0, budget: int = 200) -> ScanRe
             best = (value, code, t)
 
     for n in range(2, max_n + 1):
-        for t in enumerate_trees(n, max_k=max(max_n, 12)).entries:
+        for t in enumerate_trees(n).entries:
             offer(t)
     rng = random.Random(seed)
     for _ in range(budget):

@@ -78,10 +78,8 @@ class TestIndex:
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             enumerate_trees(0)
-        with pytest.raises(ValueError):
-            enumerate_trees(13)
-        # explicit max_k raises the ceiling
-        assert enumerate_trees(13, max_k=13).count > catalog_count(12)
+        # no cap in the library: the command line applies --max-k
+        assert enumerate_trees(13).count == 1301
 
 
 class TestClosure:
@@ -140,5 +138,6 @@ class TestBoundedDegree:
 
     def test_max_n_guard(self):
         with pytest.raises(ValueError):
-            enumerate_trees_bounded_degree(17, 3)
-        assert enumerate_trees_bounded_degree(17, 2, max_n=17)
+            enumerate_trees_bounded_degree(0, 3)
+        # no cap in the library: sizes past the old default of 16 build
+        assert len(enumerate_trees_bounded_degree(17, 2)) == 1

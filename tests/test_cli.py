@@ -140,9 +140,12 @@ class TestGen:
         ("star", ["--n", "31"], 31),
         ("millipede", ["--d", "2", "--length", "10"], 32),
         ("random", ["--n", "31"], 31),
+        ("gluepower", ["--t", "p5.json", "--k", "3", "--power", "5"], 33),
     ])
-    def test_size_over_cap_exits_two(self, capsys, family, extra, size):
+    def test_size_over_cap_exits_two(self, tmp_path, monkeypatch, capsys, family, extra, size):
         # The cap is small so that a missing check builds only a small tree.
+        monkeypatch.chdir(tmp_path)
+        dump_tree(make_path(5), "p5.json")
         code, out, err = run(capsys, "--vertex-cap", "30", "gen", family, *extra)
         assert code == 2
         assert out == ""
@@ -158,6 +161,24 @@ class TestGen:
         assert code == 2
         assert out == ""
         assert err == "treelab: error: gen glue would use 16 vertices, cap is 15\n"
+
+    def test_convex_checks_size_before_gluing(self, tmp_path, monkeypatch, capsys):
+        # convex_glue glues two copies of each input before its own cap
+        # check, so the command must reject a huge --k before calling it.
+        import treelab.generators
+
+        def no_glue(*args, **kwargs):
+            raise AssertionError("glued before the size check")
+
+        monkeypatch.setattr(treelab.generators, "glue", no_glue)
+        a = tmp_path / "a.json"
+        dump_tree(make_path(5), a)
+        code, out, err = run(capsys, "--vertex-cap", "30", "gen", "convex",
+                             "--t", str(a), "--s", str(a), "--k", "40",
+                             "--alpha", "1", "--beta", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "treelab: error: gen convex would use 49 vertices, cap is 30\n"
 
     def test_random_deterministic(self, capsys):
         _, out1, _ = run(capsys, "gen", "random", "--n", "12", "--seed", "5")
@@ -198,13 +219,33 @@ class TestVerify:
 
 
 class TestCatalogCap:
-    @pytest.mark.parametrize("command,extra", [("verify", []), ("scan", ["--budget", "5"])])
-    def test_max_n_over_catalog_cap_exits_two(self, capsys, command, extra):
-        code, out, err = run(capsys, "--max-k", "6", command, "--max-n", "7", *extra)
+    # Each case names the one argument that sets its largest catalog; "{}"
+    # is replaced by the size, and "p{}.json" is a path on that many vertices.
+    @pytest.mark.parametrize("command,extra", [
+        ("verify", ["--max-n", "{}"]),
+        ("scan", ["--max-n", "{}", "--budget", "5"]),
+        ("enum", ["--k", "{}"]),
+        ("profile", ["--tree", "p9.json", "--k", "{}"]),
+        ("inducibility", ["--tree", "p{}.json", "--schedule", "1,2"]),
+        ("verify", ["--k", "{}", "--max-n", "5"]),
+    ])
+    def test_max_n_over_catalog_cap_exits_two(self, tmp_path, monkeypatch, capsys, command, extra):
+        monkeypatch.chdir(tmp_path)
+        for n in (6, 7, 9):
+            dump_tree(make_path(n), f"p{n}.json")
+        i = next(i for i, a in enumerate(extra) if "{}" in a)
+        flag = extra[i - 1]
+        value = "with 7 vertices" if command == "inducibility" else "7"
+        code, out, err = run(capsys, "--max-k", "6", command, *(a.format(7) for a in extra))
         assert code == 2
         assert out == ""
-        assert err == f"treelab: error: {command} --max-n 7 exceeds the catalog cap --max-k 6\n"
-        code, out, _ = run(capsys, "--max-k", "6", command, "--max-n", "6", *extra)
+        assert err == f"treelab: error: {command} {flag} {value} exceeds the catalog cap --max-k 6\n"
+        code, out, _ = run(capsys, "--max-k", "6", command, *(a.format(6) for a in extra))
+        assert code == 0 and json.loads(out)
+
+    def test_census_suite_ignores_window_sizes(self, capsys):
+        # --suite census builds no k-catalog, so the default k = 6 is not checked
+        code, out, _ = run(capsys, "--max-k", "5", "verify", "--suite", "census", "--max-n", "5")
         assert code == 0 and json.loads(out)
 
 
@@ -229,6 +270,12 @@ class TestRegionScan:
         d = json.loads(out)
         assert {"max_value", "witness", "witness_code", "examined", "seed"} <= d.keys()
         assert d["seed"] == 2
+
+    def test_scan_negative_budget_exits_two(self, capsys):
+        code, out, err = run(capsys, "scan", "--max-n", "4", "--budget", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "treelab: error: budget must be >= 0, got -1\n"
 
     def test_inducibility_json(self, tmp_path, capsys):
         f = tmp_path / "t.json"

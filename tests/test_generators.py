@@ -142,12 +142,6 @@ class TestGluePower:
                     acc = glue(acc, t, k, lowest_leaf(acc), lowest_leaf(t))
                     assert glue_power(t, k, p) == acc
 
-    def test_vertex_cap(self):
-        t = make_path(10)
-        with pytest.raises(VertexCapError):
-            glue_power(t, 5, 100, vertex_cap=500)
-        assert glue_power(t, 5, 30, vertex_cap=500).n == 416
-
     def test_path_power_is_path(self):
         g = glue_power(make_path(3), 4, 4)
         assert is_isomorphic(g, make_path(glue_power_size(3, 4, 4)))

@@ -186,6 +186,11 @@ class TestScan:
         r = conjecture_scan(max_n=9, seed=0, budget=0)
         assert r.max_value >= 5
 
+    def test_rejects_negative_budget(self):
+        with pytest.raises(ValueError, match="budget"):
+            conjecture_scan(max_n=4, budget=-1)
+        assert conjecture_scan(max_n=4, budget=0).examined == 4
+
     def test_examined_accounting(self):
         r = conjecture_scan(max_n=6, seed=1, budget=25)
         exhaustive = sum(len(__import__("treelab").enumerate_trees(n).entries)
