@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Time treelab layer by layer and record the medians in a BENCH JSON file.
+
+Each case runs 5 times, every run in a fresh interpreter against
+the chosen checkout's src: the run builds its inputs untimed, then times
+one call with time.perf_counter.  The medians and every sample go into
+the output file under --label, beside the checkout's git SHA (and whether
+its src differs from that commit), the Python version and nproc; other
+labels already in the file are kept, so a parent and a change can be
+recorded side by side.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/bench.py --out BENCH.json --label change
+    python3 scripts/bench.py --out BENCH.json --label parent --src ../parent
+
+Cases:
+  load_convex_host    load_tree of the 167,548-vertex `gen convex` host
+                      (40-vertex path and star, k = 5, 1:2, cap 250,000):
+                      read, parse and validate
+  count_all_k5_convex count_all(host, 5) on that host, loaded from its file
+  count_all_k8_random count_all(host, 8) on random_tree(20000, 1), loaded
+                      from its file
+  convex_glue         building that convex host in memory
+  run_suite_all_12    run_suite("all", 12), catalogs built cold
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEAT = 5
+
+CONVEX = "convex_glue(make_path(40), make_star(40), 5, 1, 2, vertex_cap=250_000)"
+
+# name -> (setup, timed statement); HOST and RANDOM are input file paths.
+CASES = {
+    "load_convex_host": ("", "load_tree(HOST)"),
+    "count_all_k5_convex": ("t = load_tree(HOST)", "count_all(t, 5)"),
+    "count_all_k8_random": ("t = load_tree(RANDOM)", "count_all(t, 8)"),
+    "convex_glue": ("", CONVEX),
+    "run_suite_all_12": ("", 'run_suite("all", 12)'),
+}
+
+PRELUDE = """\
+import sys, time
+sys.path.insert(0, {src!r})
+from treelab import count_all, convex_glue, make_path, make_star, random_tree, run_suite
+from treelab.trees import dump_tree, load_tree
+HOST, RANDOM = {host!r}, {random!r}
+"""
+
+
+def run_child(code: str) -> str:
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
+    if done.returncode != 0:
+        raise SystemExit(f"bench: a child run failed:\n{done.stderr}")
+    return done.stdout
+
+
+def time_case(prelude: str, setup: str, stmt: str) -> float:
+    code = (f"{prelude}{setup}\nt0 = time.perf_counter()\n_ = {stmt}\n"
+            "print(time.perf_counter() - t0)\n")
+    return float(run_child(code))
+
+
+def git_state(src: Path) -> dict:
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True)
+
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        raise SystemExit(f"bench: {src} is not a git checkout")
+    modified = git("status", "--porcelain", "--", "src").stdout.strip() != ""
+    return {"sha": head.stdout.strip(), "src_modified": modified}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True, help="BENCH JSON file to create or update")
+    ap.add_argument("--label", required=True, help="name of this checkout's entry, e.g. parent")
+    ap.add_argument("--src", default=str(ROOT), help="checkout to time (default: this one)")
+    args = ap.parse_args()
+    checkout = Path(args.src).resolve()
+    entry = {**git_state(checkout), "python": platform.python_version(),
+             "nproc": os.cpu_count(), "repeat": REPEAT, "median_s": {}, "samples_s": {}}
+    with tempfile.TemporaryDirectory() as work:
+        prelude = PRELUDE.format(src=str(checkout / "src"), host=f"{work}/convex.json",
+                                 random=f"{work}/random.json")
+        run_child(f"{prelude}dump_tree({CONVEX}, HOST)\n"
+                  "dump_tree(random_tree(20000, 1), RANDOM)\n")
+        for name, (setup, stmt) in CASES.items():
+            samples = [time_case(prelude, setup, stmt) for _ in range(REPEAT)]
+            entry["median_s"][name] = round(statistics.median(samples), 4)
+            entry["samples_s"][name] = [round(s, 4) for s in samples]
+            print(f"{args.label:>8} {name:22} median {entry['median_s'][name]:.4f} s", flush=True)
+    out = Path(args.out)
+    data = json.loads(out.read_text()) if out.exists() else {}
+    data["cases"] = {name: stmt for name, (_, stmt) in CASES.items()}
+    data.setdefault("runs", {})[args.label] = entry
+    out.write_text(json.dumps(data, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

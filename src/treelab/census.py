@@ -395,6 +395,8 @@ def run_suite(
     """
     if suite not in ("census", "lemmas", "all"):
         raise ValueError(f"unknown suite {suite!r}")
+    if max_n < 2:
+        raise ValueError(f"max_n must be >= 2, got {max_n}")
     reports: list[VerificationReport] = []
     if suite in ("census", "all"):
         for n in range(2, max_n + 1):

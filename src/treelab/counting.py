@@ -14,6 +14,13 @@ child.  Shapes are ids in a table local to each call, so the cost grows
 with n and k, not with the number of windows, and each k-vertex rooted
 shape found is un-rooted to its canonical code once.
 
+The DP and the path counter run leaf to root over the reverse of the
+tree's checked walk (trees.checked_walk): a host read from a file brings
+the adjacency lists and parent-before-child order its validation built,
+and a tree built in memory is validated once per call.  A vertex's done
+neighbours are its children, so no parent array is needed, and the shared
+lists are only read.
+
 All counts are exact big integers, all densities exact fractions; decimal
 strings are rendered only at the output boundary.
 """
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import enumerate_trees
-from .trees import Tree, adjacency, adjacency_code, bfs_order, canonical_code, degrees
+from .trees import Tree, adjacency_code, canonical_code, checked_walk, degrees
 
 
 def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]]]:
@@ -39,13 +46,12 @@ def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]
     if k == 1:
         return {0: t.n}, kids
     # size[s] is the vertex count of shape s, ids finds a shape from its
-    # children, and joined[s, r] is s with one more child subtree r.
+    # children, and join_of[s][r] is s with one more child subtree r.
     size = [1]
     ids: dict[tuple[int, ...], int] = {(): 0}
-    joined: dict[tuple[int, int], int] = {}
+    join_of: list[dict[int, int]] = [{}]
     tally: dict[int, int] = {}
-    adj = adjacency(t)
-    order = bfs_order(adj, 0)[0]
+    adj, order = checked_walk(t)
     lone = {0: 1}
     # below[v]: shape -> sets of fewer than k vertices topped by v, kept
     # until v's parent, whose done neighbours are exactly its children.
@@ -60,11 +66,12 @@ def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]
             grown = dict(top)
             for s, a in top.items():
                 room = k - size[s]
+                joins = join_of[s]
                 for r, b in sub.items():
                     m = size[r]
                     if m > room:
                         continue
-                    j = joined.get((s, r))
+                    j = joins.get(r)
                     if j is None:
                         key = tuple(sorted(kids[s] + (r,)))
                         j = ids.get(key)
@@ -72,14 +79,14 @@ def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]
                             j = ids[key] = len(kids)
                             kids.append(key)
                             size.append(size[s] + m)
-                        joined[s, r] = j
+                            join_of.append({})
+                        joins[r] = j
                     if m == room:
                         tally[j] = tally.get(j, 0) + a * b
                     else:
                         grown[j] = grown.get(j, 0) + a * b
             top = grown
         below[v] = top
-        adj[v] = None  # not read again; frees memory as the walk goes
     return tally, kids
 
 
@@ -195,8 +202,9 @@ def count_paths_fast(t: Tree, k: int) -> int:
         return n
     if n < k:
         return 0
-    adj = adjacency(t)
-    order, parent = bfs_order(adj, 0)
+    adj, order = checked_walk(t)
+    # down[c] is kept until c's parent, whose done neighbours are exactly
+    # its children.
     down: list = [None] * n
     total = 0
     for v in reversed(order):
@@ -204,9 +212,9 @@ def count_paths_fast(t: Tree, k: int) -> int:
         dv[1] = 1
         acc = [0] * k
         for c in adj[v]:
-            if c == parent[v]:
-                continue
             dc = down[c]
+            if dc is None:
+                continue
             down[c] = None
             for a in range(1, k - 1):
                 if dc[a]:

@@ -33,14 +33,14 @@ def make_path(n: int) -> Tree:
     """Path on vertices 0..n-1 in label order."""
     if n < 1:
         raise ValueError(f"path needs at least one vertex, got n={n}")
-    return make_tree(n, [(i, i + 1) for i in range(n - 1)])
+    return Tree(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def make_star(n: int) -> Tree:
     """Star with center 0 and leaves 1..n-1."""
     if n < 1:
         raise ValueError(f"star needs at least one vertex, got n={n}")
-    return make_tree(n, [(0, i) for i in range(1, n)])
+    return Tree(n, tuple((0, i) for i in range(1, n)))
 
 
 def make_millipede(d: int, length: int) -> Tree:
@@ -63,7 +63,7 @@ def make_millipede(d: int, length: int) -> Tree:
     end_b = end_a + 1
     edges.append((0, end_a))
     edges.append((length - 1, end_b))
-    return make_tree(millipede_size(d, length), edges)
+    return Tree(millipede_size(d, length), tuple(edges))
 
 
 def millipede_size(d: int, length: int) -> int:
@@ -99,7 +99,7 @@ def glue(t: Tree, s: Tree, k: int, leaf_t: int, leaf_s: int) -> Tree:
         edges.append((prev, base_c + i))
         prev = base_c + i
     edges.append((prev, base_s + leaf_s))
-    return make_tree(base_c + k - 1, edges)
+    return Tree(base_c + k - 1, tuple(edges))
 
 
 def glue_size(n_t: int, n_s: int, k: int) -> int:
@@ -155,7 +155,7 @@ def glue_power(t: Tree, k: int, power: int) -> Tree:
         for v in t_leaves:
             if v != anchor:
                 heapq.heappush(heap, base_s + v)
-    return make_tree(len(deg), edges)
+    return Tree(len(deg), tuple(edges))
 
 
 def _window_total(t: Tree, k: int) -> int:
@@ -290,7 +290,7 @@ def prufer_to_tree(sequence: list[int] | tuple[int, ...], n: int) -> Tree:
     a = heapq.heappop(heap)
     b = heapq.heappop(heap)
     edges.append((a, b))
-    return make_tree(n, edges)
+    return Tree(n, tuple(edges))
 
 
 def random_tree(n: int, seed: int) -> Tree:

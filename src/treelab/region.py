@@ -204,6 +204,8 @@ def emit_figure_data(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if precision < 1:  # checked before the header is written
+        raise ValueError(f"precision must be >= 1, got {precision}")
     rows: list[tuple[str, str, Fraction, Fraction]] = []
     for i in range(samples + 1):
         x = Fraction(i, 2 * samples)

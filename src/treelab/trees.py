@@ -1,10 +1,14 @@
 """Tree representation, validation, and canonical forms.
 
 A tree on n vertices is stored as an immutable pair (n, edges) with vertex
-labels 0..n-1.  Nothing else is cached on the object: degrees, adjacency,
-centers, and codes are derived on demand.  Validation builds the adjacency
-lists in the same pass that checks them, and canonical codes and
-automorphism counts work from those lists.
+labels 0..n-1.  Validation is one pass that builds the adjacency lists
+while it checks them and walks the tree from vertex 0; its result, a Walk,
+is the lists plus the order in which the walk visited the vertices, each
+after its parent.  A tree read by parse_tree_text or tree_from_json keeps
+its Walk, so a loaded host is checked and laid out once; checked_walk
+hands it to the window counters and canonical codes, and reruns the pass,
+without storing it, for a tree built in memory.  Nothing else is cached
+on the object: degrees, centers, and codes are derived on demand.
 
 Canonical form convention: root the tree at its center; a bicentral tree is
 rooted at each endpoint of the central edge and the lexicographically smaller
@@ -24,13 +28,23 @@ Writers always emit JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from math import factorial
+from typing import NamedTuple
 
 
 class InvalidTreeError(ValueError):
     """Raised when an edge list fails one of the tree invariants."""
+
+
+class Walk(NamedTuple):
+    """What validation builds: adjacency lists, neighbour order following
+    the edge tuple, and every vertex in a parent-before-child order from
+    vertex 0."""
+
+    adj: list[list[int]]
+    order: list[int]
 
 
 @dataclass(frozen=True)
@@ -39,6 +53,9 @@ class Tree:
 
     n: int
     edges: tuple[tuple[int, int], ...]
+    # The Walk of a tree read from a file; None for one built in memory.
+    # Not part of the value: equal trees compare equal with or without it.
+    _walk: Walk | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def make_tree(n: int, edges) -> Tree:
@@ -64,40 +81,61 @@ def validate(t: Tree) -> str | None:
 def require_valid(t: Tree) -> list[list[int]]:
     """Raise InvalidTreeError unless t passes validate(); return the
     adjacency lists that check built."""
-    problem, adj = _check(t)
-    if problem is not None:
-        raise InvalidTreeError(problem)
-    return adj
+    return checked_walk(t).adj
 
 
-def _check(t: Tree) -> tuple[str | None, list[list[int]]]:
-    # The pass validate() describes: (first problem, []) or (None, adjacency).
+def checked_walk(t: Tree) -> Walk:
+    """The Walk of t: the one a loaded tree keeps, else a fresh pass of
+    validate() whose result is not stored.  Raises InvalidTreeError for
+    an invalid tree.  Callers share a kept Walk and must not mutate it."""
+    walk = t._walk
+    if walk is None:
+        problem, walk = _check(t)
+        if problem is not None:
+            raise InvalidTreeError(problem)
+    return walk
+
+
+def _check(t: Tree) -> tuple[str | None, Walk | None]:
+    # The pass validate() describes: (first problem, None) or (None, Walk).
+    # Each vertex is pushed once, by its parent, after the parent was
+    # popped, so the pop order lists parents before children.  A stack,
+    # not a queue, bounds the child tallies the counters hold at once by
+    # depth times degree instead of by the widest level of the tree.
     n = t.n
     if n <= 0:
-        return f"vertex count must be positive, got {n}", []
+        return f"vertex count must be positive, got {n}", None
     if len(t.edges) != n - 1:
-        return f"edge count {len(t.edges)} != n - 1 = {n - 1}", []
+        return f"edge count {len(t.edges)} != n - 1 = {n - 1}", None
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in t.edges:
         if not (0 <= u < n and 0 <= v < n):
-            return f"edge ({u}, {v}) out of range for {n} vertices", []
+            return f"edge ({u}, {v}) out of range for {n} vertices", None
         if u == v:
-            return f"self-loop at vertex {u}", []
+            return f"self-loop at vertex {u}", None
         adj[u].append(v)
         adj[v].append(u)
     reached = bytearray(n)
     reached[0] = 1
     stack = [0]
-    count = 1
+    order = []
+    visit = order.append
     while stack:
-        for w in adj[stack.pop()]:
+        v = stack.pop()
+        visit(v)
+        for w in adj[v]:
             if not reached[w]:
                 reached[w] = 1
-                count += 1
                 stack.append(w)
-    if count != n:
-        return f"not connected: reached {count} of {n} vertices", []
-    return None, adj
+    if len(order) != n:
+        return f"not connected: reached {len(order)} of {n} vertices", None
+    return None, Walk(adj, order)
+
+
+def _loaded(t: Tree) -> Tree:
+    # A parsed tree, checked, keeping its Walk.
+    object.__setattr__(t, "_walk", checked_walk(t))
+    return t
 
 
 def adjacency(t: Tree) -> list[list[int]]:
@@ -160,7 +198,7 @@ def _center(adj: list[list[int]]) -> tuple[int, ...]:
 
 def canonical_code(t: Tree) -> bytes:
     """Center-rooted canonical code; equal codes characterise isomorphism."""
-    return adjacency_code(require_valid(t))
+    return adjacency_code(checked_walk(t).adj)
 
 
 def adjacency_code(adj: list[list[int]]) -> bytes:
@@ -253,6 +291,11 @@ def tree_from_json(obj) -> Tree:
     and edges a list of two-element lists; anything else raises
     InvalidTreeError, as do the tree invariants of validate().
     """
+    return _loaded(_edges_from_json(obj))
+
+
+def _edges_from_json(obj) -> Tree:
+    # tree_from_json's type checks; the tree invariants are not checked.
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InvalidTreeError("tree JSON must be an object with 'n' and 'edges'")
     n = obj["n"]
@@ -270,9 +313,7 @@ def tree_from_json(obj) -> Tree:
                 append((u, v))
                 continue
         raise InvalidTreeError(f"edge {i} must be a list of two integers [u, v]")
-    t = Tree(n, tuple(edges))
-    require_valid(t)
-    return t
+    return Tree(n, tuple(edges))
 
 
 def parse_tree_text(text: str) -> Tree:
@@ -281,15 +322,21 @@ def parse_tree_text(text: str) -> Tree:
     Text starting with '{' is the JSON form; anything else is the compact
     parent list p_1 .. p_{n-1} with p_i < i.
     """
-    stripped = text.strip()
-    if stripped.startswith("{"):
+    text = text.strip()
+    if text.startswith("{"):
         try:
-            obj = json.loads(stripped)
+            obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise InvalidTreeError(f"bad tree JSON: {e}") from None
-        return tree_from_json(obj)
+        # A large host's peak memory is set here: free the text before
+        # the edges are copied out of the parsed JSON, and the JSON before
+        # the Walk is built.
+        del text
+        t = _edges_from_json(obj)
+        del obj
+        return _loaded(t)
     try:
-        parents = [int(tok) for tok in stripped.split()]
+        parents = [int(tok) for tok in text.split()]
     except ValueError:
         raise InvalidTreeError("compact tree form must be whitespace-separated integers") from None
     n = len(parents) + 1
@@ -298,9 +345,7 @@ def parse_tree_text(text: str) -> Tree:
         if not 0 <= p < i:
             raise InvalidTreeError(f"parent {p} of vertex {i} must satisfy 0 <= p < {i}")
         edges.append((p, i))
-    t = make_tree(n, edges)
-    require_valid(t)
-    return t
+    return _loaded(Tree(n, tuple(edges)))
 
 
 def load_tree(path) -> Tree:

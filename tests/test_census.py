@@ -220,3 +220,8 @@ class TestSuite:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("everything")
+
+    @pytest.mark.parametrize("max_n", [-5, 1])
+    def test_max_n_below_two_rejected(self, max_n):
+        with pytest.raises(ValueError, match=f"^max_n must be >= 2, got {max_n}$"):
+            run_suite("census", max_n=max_n)

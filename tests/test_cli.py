@@ -208,6 +208,12 @@ class TestVerify:
         assert code == 1
         assert "1 failed" in err
 
+    @pytest.mark.parametrize("max_n", ["-5", "1"])
+    def test_max_n_below_two_exits_two(self, capsys, max_n):
+        code, out, err = run(capsys, "verify", "--suite", "census", "--max-n", max_n)
+        assert (code, out) == (2, "")
+        assert err == f"treelab: error: max_n must be >= 2, got {max_n}\n"
+
     def test_single_k_restriction(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "lemmas", "--max-n", "8",
                            "--k", "5")
@@ -262,6 +268,16 @@ class TestRegionScan:
         code, out, _ = run(capsys, "region", "--d-max", "2", "--out", str(f))
         assert code == 0 and out == ""
         assert f.read_text().startswith("series,label")
+
+    def test_region_bad_precision_writes_nothing(self, tmp_path, capsys):
+        code, out, err = run(capsys, "--precision", "0", "region")
+        assert (code, out) == (2, "")
+        assert err == "treelab: error: precision must be >= 1, got 0\n"
+        f = tmp_path / "fig.csv"
+        code, out, err = run(capsys, "--precision", "0", "region", "--out", str(f))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert not f.exists()
 
     def test_scan_json(self, capsys):
         code, out, _ = run(capsys, "scan", "--max-n", "7", "--budget", "10",

@@ -25,7 +25,8 @@ from treelab.generators import (
     make_star,
     random_tree,
 )
-from treelab.trees import canonical_code, make_tree, max_degree
+from treelab import trees
+from treelab.trees import canonical_code, dump_tree, load_tree, make_tree, max_degree
 
 Y_SHAPE = make_tree(5, ((0, 1), (0, 2), (0, 3), (3, 4)))
 
@@ -261,3 +262,43 @@ class TestDecimalFormatting:
         # twelve significant digits, so small values keep their precision
         s = fraction_to_decimal(Fraction(1, 43294833), 12)
         assert s.startswith("0.0000000230974")
+
+
+class TestLoadedHosts:
+    """A host read from a file counts with the walk its validation built."""
+
+    HOSTS = (random_tree(300, 11), make_millipede(3, 20), make_star(12))
+
+    @pytest.mark.parametrize("t", HOSTS, ids=["random", "millipede", "star"])
+    def test_same_results_as_in_memory(self, tmp_path, t):
+        dump_tree(t, tmp_path / "host.json")
+        loaded = load_tree(tmp_path / "host.json")
+        assert canonical_code(loaded) == canonical_code(t)
+        for k in range(1, 9):
+            assert count_all(loaded, k) == count_all(t, k)
+            assert count_paths_fast(loaded, k) == count_paths_fast(t, k)
+
+    def test_counting_leaves_the_shared_walk_intact(self, tmp_path):
+        dump_tree(random_tree(500, 4), tmp_path / "host.json")
+        t = load_tree(tmp_path / "host.json")
+        first = count_all(t, 7)
+        assert count_paths_fast(t, 7) == first.per_type[enumerate_trees(7).path_index]
+        assert count_all(t, 7) == first
+        assert trees.checked_walk(t).adj == trees.adjacency(t)
+
+    def test_one_validation_pass_per_host(self, tmp_path, monkeypatch):
+        calls = []
+        real_check = trees._check
+
+        def counted(t):
+            calls.append(t.n)
+            return real_check(t)
+
+        monkeypatch.setattr(trees, "_check", counted)
+        host = random_tree(200, 9)
+        dump_tree(host, tmp_path / "host.json")
+        count_all(load_tree(tmp_path / "host.json"), 6)
+        assert calls == [200]
+        calls.clear()
+        count_all(host, 6)
+        assert calls == [200]

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from treelab.trees import (
     bfs_order,
     canonical_code,
     center,
+    checked_walk,
     degrees,
     dump_tree,
     is_isomorphic,
@@ -325,6 +328,59 @@ class TestBfsOrder:
                     parent[w] = v
                     order.append(w)
         assert bfs_order(adj, root) == (order, parent)
+
+
+class TestCheckedWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(random_trees(30))
+    def test_each_vertex_after_its_parent(self, t):
+        adj, order = checked_walk(t)
+        assert adj == adjacency(t)
+        assert sorted(order) == list(range(t.n)) and order[0] == 0
+        # Parents from an independent visited-set search from vertex 0.
+        parent = {0: None}
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in parent:
+                    parent[w] = v
+                    stack.append(w)
+        position = {v: i for i, v in enumerate(order)}
+        assert all(position[parent[v]] < position[v] for v in order[1:])
+
+    def test_loaded_tree_keeps_its_walk(self, tmp_path):
+        t = random_tree(40, 3)
+        dump_tree(t, tmp_path / "t.json")
+        loaded = load_tree(tmp_path / "t.json")
+        assert checked_walk(loaded) is checked_walk(loaded)
+        assert checked_walk(loaded) == checked_walk(t)
+        # The walk is not part of the value, and an in-memory tree stores none.
+        assert loaded == t and hash(loaded) == hash(t) and repr(loaded) == repr(t)
+        assert t._walk is None
+
+    def test_invalid_tree_raises(self):
+        with pytest.raises(InvalidTreeError, match="not connected"):
+            checked_walk(make_tree(4, ((0, 1), (1, 0), (2, 3))))
+
+    def test_load_peak_memory_stays_near_the_json(self, tmp_path):
+        # The parsed JSON is freed before the edge tuple and walk are built.
+        path = tmp_path / "path.json"
+        dump_tree(make_path(100_000), path)
+        text = path.read_text()
+        tracemalloc.start()
+        try:
+            obj = json.loads(text)
+            json_size = tracemalloc.get_traced_memory()[0]
+            del obj, text
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            t = load_tree(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert t.n == 100_000
+        assert peak < 1.8 * json_size
 
 
 class TestPruferDecode:
