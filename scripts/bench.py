@@ -23,6 +23,10 @@ Cases:
                       from its file
   convex_glue         building that convex host in memory
   run_suite_all_12    run_suite("all", 12), catalogs built cold
+  catalog_cold_12     both catalogs (all trees, and max degree 3) for
+                      n = 1..12, built cold
+  verify_cli_12       cli.main for `verify --max-n 12 --report os.devnull`:
+                      catalogs, checks and report rendering
 """
 
 from __future__ import annotations
@@ -49,12 +53,16 @@ CASES = {
     "count_all_k8_random": ("t = load_tree(RANDOM)", "count_all(t, 8)"),
     "convex_glue": ("", CONVEX),
     "run_suite_all_12": ("", 'run_suite("all", 12)'),
+    "catalog_cold_12": ("", "[(enumerate_trees(n), enumerate_trees_bounded_degree(n, 3))"
+                            " for n in range(1, 13)]"),
+    "verify_cli_12": ("", 'cli.main(["verify", "--max-n", "12", "--report", os.devnull])'),
 }
 
 PRELUDE = """\
-import sys, time
+import os, sys, time
 sys.path.insert(0, {src!r})
-from treelab import count_all, convex_glue, make_path, make_star, random_tree, run_suite
+from treelab import cli, count_all, convex_glue, make_path, make_star, random_tree, run_suite
+from treelab.catalog import enumerate_trees, enumerate_trees_bounded_degree
 from treelab.trees import dump_tree, load_tree
 HOST, RANDOM = {host!r}, {random!r}
 """

@@ -8,6 +8,11 @@ the star second (for k <= 3 the two coincide and the star index aliases the
 path); all remaining entries follow in ascending canonical-code order, which
 makes catalog positions stable across runs and platforms.
 
+Every entry is checked once, when the catalog keeps it: it carries the Walk
+of that pass and the canonical code it was deduplicated by, so window
+counts and canonical_code on an entry neither revalidate nor recode it.
+A candidate that duplicates a kept class is dropped unchecked.
+
 There is no size cap here (1,301 classes at 13 vertices, 823,065 at 20):
 the command line checks every size against ``--max-k``.  The brute-force
 cross-check for catalog sizes lives in the test suite and in
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .generators import make_path, make_star
-from .trees import Tree, adjacency, adjacency_code, degrees, make_tree
+from .trees import Tree, _loaded, adjacency, adjacency_code, degrees
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,8 @@ def _classes(n: int, dmax: int | None) -> dict[bytes, Tree]:
     one cache key.
     """
     if n == 1:
-        return {adjacency_code([[]]): make_tree(1, [])}
+        code = adjacency_code([[]])
+        return {code: _loaded(Tree(1, ()), code)}
     out: dict[bytes, Tree] = {}
     for _, parent in sorted(_classes(n - 1, dmax).items()):
         deg = degrees(parent)
@@ -69,7 +75,7 @@ def _classes(n: int, dmax: int | None) -> dict[bytes, Tree]:
             t = Tree(n, parent.edges + ((v, n - 1),))
             code = adjacency_code(adjacency(t))
             if code not in out:
-                out[code] = t
+                out[code] = _loaded(t, code)
     return out
 
 

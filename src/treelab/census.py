@@ -19,6 +19,13 @@ trees (the single edge, the 3-path, the 3-star) genuinely violate them,
 and the checks report that honestly.  The suite runner skips exactly those
 three trees for exactly those two checks; the boundary itself is covered
 by the test suite.
+
+Each check has a private function that makes its report from the counts
+it compares.  The public check_* functions count for one tree and call
+it; the suite runner counts each quantity once per corpus tree (the
+census, Z_k, P_k and S_k per k, Y and its split) and hands the same
+numbers to every report that needs them.  Its corpus trees come from the catalogs,
+which keep each entry's checked walk and canonical code.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .counting import (
     count_y_split,
 )
 from .generators import make_millipede, make_path, make_star
-from .trees import Tree, adjacency, canonical_code, degrees, make_tree, max_degree
+from .trees import Tree, _loaded, adjacency, canonical_code, degrees, make_tree, max_degree
 
 
 @dataclass(frozen=True)
@@ -129,7 +136,11 @@ def degree_type_census(t: Tree) -> DegreeTypeCensus:
 def check_leaf_balance(t: Tree) -> VerificationReport:
     """Leaves exceed degree-3 vertices by exactly 2 in any qualifying tree."""
     c = degree_type_census(t)
-    return _equality_report("leaf_balance", _describe(t), c.n1 - c.n3, 2)
+    return _leaf_balance(_describe(t), c)
+
+
+def _leaf_balance(inputs: str, c: DegreeTypeCensus) -> VerificationReport:
+    return _equality_report("leaf_balance", inputs, c.n1 - c.n3, 2)
 
 
 def _census_P(c: DegreeTypeCensus) -> int:
@@ -152,13 +163,21 @@ def _census_Y(c: DegreeTypeCensus) -> int:
 def check_P_formula_census(t: Tree) -> VerificationReport:
     """The path-window linear form in type counts equals the engine count."""
     c = degree_type_census(t)
-    return _equality_report("P_formula_census", _describe(t), _census_P(c), count_paths_fast(t, 5))
+    return _P_formula(_describe(t), c, count_paths_fast(t, 5))
+
+
+def _P_formula(inputs: str, c: DegreeTypeCensus, P: int) -> VerificationReport:
+    return _equality_report("P_formula_census", inputs, _census_P(c), P)
 
 
 def check_Y_formula_census(t: Tree) -> VerificationReport:
     """The fork-window linear form in type counts equals the engine count."""
     c = degree_type_census(t)
-    return _equality_report("Y_formula_census", _describe(t), _census_Y(c), count_y_fast(t))
+    return _Y_formula(_describe(t), c, count_y_fast(t))
+
+
+def _Y_formula(inputs: str, c: DegreeTypeCensus, Y: int) -> VerificationReport:
+    return _equality_report("Y_formula_census", inputs, _census_Y(c), Y)
 
 
 # The leaf-count identity and the P-Y collapse assume diameter >= 3; these
@@ -182,9 +201,10 @@ def check_PY_identity(t: Tree) -> VerificationReport:
     small trees on which the first two genuinely fail.
     """
     c = degree_type_census(t)
-    inputs = _describe(t)
-    P = count_paths_fast(t, 5)
-    Y = count_y_fast(t)
+    return _PY_identity(_describe(t), c, count_paths_fast(t, 5), count_y_fast(t))
+
+
+def _PY_identity(inputs: str, c: DegreeTypeCensus, P: int, Y: int) -> VerificationReport:
     collapse_rhs = (
         4 * c.triple(2, 2, 2) + 2 * c.triple(2, 2, 1) + c.triple(2, 1, 1)
         + c.triple(1, 1, 1) + c.triple(1, 1, 0) + 2 * c.triple(1, 0, 0)
@@ -225,8 +245,12 @@ def check_lemma_smalldeg(t: Tree, k: int) -> VerificationReport:
     N = catalog_count(k)
     Z = count_connected_subsets(t, k)
     P = count_paths_fast(t, k)
+    return _smalldeg(f"{_describe(t)} k={k}", k, N, Z, P)
+
+
+def _smalldeg(inputs: str, k: int, N: int, Z: int, P: int) -> VerificationReport:
     rhs = k * N * (k - 2) ** (k - 1) * P + k * N * (k - 2) ** (2 * k - 2)
-    return _bound_report("smalldeg_window_bound", f"{_describe(t)} k={k}", Z, rhs)
+    return _bound_report("smalldeg_window_bound", inputs, Z, rhs)
 
 
 def check_lemma_general(t: Tree, k: int) -> VerificationReport:
@@ -240,7 +264,10 @@ def check_lemma_general(t: Tree, k: int) -> VerificationReport:
     Z = count_connected_subsets(t, k)
     P = count_paths_fast(t, k)
     S = count_stars_fast(t, k)
-    inputs = f"{_describe(t)} k={k}"
+    return _general(f"{_describe(t)} k={k}", k, N, Z, P, S)
+
+
+def _general(inputs: str, k: int, N: int, Z: int, P: int, S: int) -> VerificationReport:
     cap = N * k ** (2 * k)
     main = _bound_report("general_window_bound", inputs, Z, cap * (P + 2 * S + 1))
     parts = (main,)
@@ -280,10 +307,12 @@ def check_Y_P4(t: Tree) -> VerificationReport:
     D = max_degree(t)
     if D > 3:
         raise ValueError(f"needs max degree <= 3, got {D}")
-    P = count_paths_fast(t, 5)
-    Y = count_y_fast(t)
+    return _Y_P4(_describe(t), count_paths_fast(t, 5), count_y_fast(t))
+
+
+def _Y_P4(inputs: str, P: int, Y: int) -> VerificationReport:
     return VerificationReport(
-        check="Y_P4", inputs=_describe(t),
+        check="Y_P4", inputs=inputs,
         lhs=Y, rhs=P + 4, holds=Y <= P + 4, slack=P + 4 - Y,
         equality=(Y == P + 4),
     )
@@ -296,11 +325,14 @@ def check_Y_36S(t: Tree) -> VerificationReport:
     endpoint of degree >= 4 are covered by 36S; the rest obey the
     small-degree budget P + 4 on their own.
     """
-    P = count_paths_fast(t, 5)
-    S = count_stars_fast(t, 5)
-    Y = count_y_fast(t)
-    y_small, y_large = count_y_split(t)
-    inputs = _describe(t)
+    return _Y_36S(
+        _describe(t), count_paths_fast(t, 5), count_stars_fast(t, 5), count_y_fast(t),
+        count_y_split(t),
+    )
+
+
+def _Y_36S(inputs: str, P: int, S: int, Y: int, split: tuple[int, int]) -> VerificationReport:
+    y_small, y_large = split
     parts = (
         _bound_report("Y_large_36S", inputs, y_large, 36 * S),
         _bound_report("Y_small_P4", inputs, y_small, P + 4),
@@ -326,7 +358,8 @@ def check_millipede_upper(k: int, length: int) -> VerificationReport:
         raise ValueError(f"needs even k >= 6, got {k}")
     if length < 3:
         raise ValueError(f"needs length >= 3, got {length}")
-    t = make_millipede(k - 4, length)
+    # Checked once, keeping its walk for both window counters.
+    t = _loaded(make_millipede(k - 4, length))
     inputs = f"millipede(d={k - 4}, length={length}) k={k}"
     S = count_stars_fast(t, k)
     P = count_paths_fast(t, k)
@@ -354,29 +387,43 @@ def check_millipede_upper(k: int, length: int) -> VerificationReport:
 
 
 def _census_checks_for(t: Tree) -> list[VerificationReport]:
-    reports = [
-        check_leaf_balance(t),
-        check_P_formula_census(t),
-        check_Y_formula_census(t),
-    ]
-    if canonical_code(t) not in PY_IDENTITY_EXCEPTIONS:
-        reports.append(check_PY_identity(t))
-    else:
+    inputs = _describe(t)
+    c = degree_type_census(t)
+    P = count_paths_fast(t, 5)
+    Y = count_y_fast(t)
+    identity = _PY_identity(inputs, c, P, Y)
+    if canonical_code(t) in PY_IDENTITY_EXCEPTIONS:
         # Only the universally valid part applies to the three small trees.
-        reports.append(check_PY_identity(t).parts[2])
-    return reports
+        identity = identity.parts[2]
+    return [
+        _leaf_balance(inputs, c),
+        _P_formula(inputs, c, P),
+        _Y_formula(inputs, c, Y),
+        identity,
+    ]
 
 
 def _lemma_checks_for(t: Tree, ks: tuple[int, ...]) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
+    desc = _describe(t)
     D = max_degree(t)
+    paths: dict[int, int] = {}
+    stars: dict[int, int] = {}
     for k in ks:
+        inputs = f"{desc} k={k}"
+        N = catalog_count(k)
+        Z = count_connected_subsets(t, k)
+        P = paths[k] = count_paths_fast(t, k)
+        S = stars[k] = count_stars_fast(t, k)
         if t.n >= 2 and D <= k - 2:
-            reports.append(check_lemma_smalldeg(t, k))
-        reports.append(check_lemma_general(t, k))
+            reports.append(_smalldeg(inputs, k, N, Z, P))
+        reports.append(_general(inputs, k, N, Z, P, S))
+    P5 = paths[5] if 5 in paths else count_paths_fast(t, 5)
+    S5 = stars[5] if 5 in stars else count_stars_fast(t, 5)
+    Y = count_y_fast(t)
     if 2 <= t.n and D <= 3:
-        reports.append(check_Y_P4(t))
-    reports.append(check_Y_36S(t))
+        reports.append(_Y_P4(desc, P5, Y))
+    reports.append(_Y_36S(desc, P5, S5, Y, count_y_split(t)))
     return reports
 
 

@@ -314,7 +314,7 @@ def random_tree_bounded_degree(n: int, dmax: int, rng: random.Random) -> Tree:
     """
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
-    if dmax < 2 and n > 2:
+    if (dmax < 1 and n >= 2) or (dmax < 2 and n > 2):
         raise ValueError(f"dmax={dmax} cannot accommodate {n} vertices")
     edges: list[tuple[int, int]] = []
     deg = [0] * n

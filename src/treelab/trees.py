@@ -5,10 +5,13 @@ labels 0..n-1.  Validation is one pass that builds the adjacency lists
 while it checks them and walks the tree from vertex 0; its result, a Walk,
 is the lists plus the order in which the walk visited the vertices, each
 after its parent.  A tree read by parse_tree_text or tree_from_json keeps
-its Walk, so a loaded host is checked and laid out once; checked_walk
-hands it to the window counters and canonical codes, and reruns the pass,
-without storing it, for a tree built in memory.  Nothing else is cached
-on the object: degrees, centers, and codes are derived on demand.
+its Walk, and so does every catalog entry, which also keeps the canonical
+code the catalog deduplicated it by; a loaded host or catalog tree is
+checked, laid out and coded once.  checked_walk hands the Walk to the
+window counters and canonical codes, and reruns the pass, without storing
+it, for a tree built in memory; canonical_code returns a kept code before
+it builds one.  Nothing else is cached on the object: degrees and centers
+are derived on demand.
 
 Canonical form convention: root the tree at its center; a bicentral tree is
 rooted at each endpoint of the central edge and the lexicographically smaller
@@ -53,9 +56,11 @@ class Tree:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    # The Walk of a tree read from a file; None for one built in memory.
-    # Not part of the value: equal trees compare equal with or without it.
+    # The Walk of a tree read from a file or kept by the catalog, and the
+    # canonical code of a catalog entry; None for a tree built in memory.
+    # Not part of the value: equal trees compare equal with or without them.
     _walk: Walk | None = field(default=None, init=False, repr=False, compare=False)
+    _code: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def make_tree(n: int, edges) -> Tree:
@@ -132,9 +137,11 @@ def _check(t: Tree) -> tuple[str | None, Walk | None]:
     return None, Walk(adj, order)
 
 
-def _loaded(t: Tree) -> Tree:
-    # A parsed tree, checked, keeping its Walk.
+def _loaded(t: Tree, code: bytes | None = None) -> Tree:
+    # A parsed or catalog tree, checked, keeping its Walk and the canonical
+    # code the caller already built for it, if any.
     object.__setattr__(t, "_walk", checked_walk(t))
+    object.__setattr__(t, "_code", code)
     return t
 
 
@@ -198,7 +205,10 @@ def _center(adj: list[list[int]]) -> tuple[int, ...]:
 
 def canonical_code(t: Tree) -> bytes:
     """Center-rooted canonical code; equal codes characterise isomorphism."""
-    return adjacency_code(checked_walk(t).adj)
+    code = t._code
+    if code is None:
+        code = adjacency_code(checked_walk(t).adj)
+    return code
 
 
 def adjacency_code(adj: list[list[int]]) -> bytes:

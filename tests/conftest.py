@@ -9,9 +9,11 @@ code, so agreement with the engine is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
+from treelab import catalog
 from treelab.catalog import enumerate_trees
 from treelab.generators import prufer_to_tree
 from treelab.trees import Tree, adjacency, canonical_code, make_tree
@@ -105,3 +107,29 @@ def hosts_up_to(n: int) -> list[Tree]:
 @pytest.fixture(scope="session")
 def small_hosts() -> list[Tree]:
     return hosts_up_to(9)
+
+
+@pytest.fixture
+def cold_catalogs() -> None:
+    """Empty the catalog caches, so the test builds every catalog it uses."""
+    catalog._classes.cache_clear()
+    catalog._catalog.cache_clear()
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) wraps module.name for the test and returns
+    the Counter that its calls add to under that name."""
+    calls: Counter = Counter()
+
+    def wrap(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return wrap

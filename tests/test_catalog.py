@@ -8,8 +8,18 @@ from treelab.catalog import (
     enumerate_trees,
     enumerate_trees_bounded_degree,
 )
+from treelab import trees
 from treelab.generators import make_path, make_star
-from treelab.trees import adjacency, canonical_code, degrees, max_degree, require_valid
+from treelab.trees import (
+    adjacency,
+    adjacency_code,
+    canonical_code,
+    checked_walk,
+    degrees,
+    make_tree,
+    max_degree,
+    require_valid,
+)
 
 # shape counts for 1..10 vertices; 9 and 10 were frozen from a full
 # Prüfer-dedup sweep (9^7 and 10^8 sequences), the rest re-derived below
@@ -99,9 +109,33 @@ class TestClosure:
                         for a, b in t.edges
                         if a != v and b != v
                     )
-                    from treelab.trees import make_tree
-
                     assert canonical_code(make_tree(k - 1, edges)) in smaller
+
+
+class TestKeptWalkAndCode:
+    # Every catalog entry keeps the Walk of its one checked pass and the
+    # canonical code it was deduplicated by, outside its value.
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_entries_match_in_memory_copies(self, n):
+        for t in enumerate_trees(n).entries + enumerate_trees_bounded_degree(n, 3):
+            copy = make_tree(t.n, t.edges)
+            assert checked_walk(t) is t._walk
+            assert t._walk == trees._check(copy)[1]
+            assert canonical_code(t) == adjacency_code(adjacency(copy))
+            assert t == copy and hash(t) == hash(copy) and repr(t) == repr(copy)
+            assert copy._walk is None and copy._code is None
+
+    def test_canonical_code_returns_the_kept_code(self, monkeypatch):
+        entries = enumerate_trees(8).entries
+        monkeypatch.setattr(trees, "adjacency_code", None)  # any rebuild would fail
+        assert [canonical_code(t) for t in entries] == list(enumerate_trees(8).codes)
+
+    def test_cold_build_checks_each_kept_entry_once(self, cold_catalogs, count_calls):
+        # Candidates the catalog drops as duplicates are never checked.
+        calls = count_calls(trees, "_check")
+        plain = [t for n in range(1, 10) for t in enumerate_trees(n).entries]
+        bounded = [t for n in range(1, 10) for t in enumerate_trees_bounded_degree(n, 3)]
+        assert calls["_check"] == len(plain) + len(bounded)
 
 
 class TestBoundedDegree:

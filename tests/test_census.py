@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treelab.catalog import enumerate_trees_bounded_degree
+from treelab import catalog, counting, trees
+from treelab.catalog import enumerate_trees, enumerate_trees_bounded_degree
 from treelab.census import (
     PY_IDENTITY_EXCEPTIONS,
     check_PY_identity,
@@ -216,6 +217,35 @@ class TestSuite:
         lemmas_only = run_suite("lemmas", max_n=9)
         both = run_suite("all", max_n=9)
         assert len(census_only) + len(lemmas_only) <= len(both)
+
+    def test_cold_suite_checks_codes_and_counts_each_tree_once(
+        self, cold_catalogs, count_calls, monkeypatch
+    ):
+        calls = count_calls(trees, "_check")
+        count_calls(counting, "_rooted_tally")
+        # The catalog build calls adjacency_code through its own import;
+        # every other caller reaches it through trees or counting.
+        count_calls(catalog, "adjacency_code")
+
+        def no_code(adj):
+            raise AssertionError("canonical code built outside the catalog build")
+
+        monkeypatch.setattr(trees, "adjacency_code", no_code)
+        monkeypatch.setattr(counting, "adjacency_code", no_code)
+        ks = (5, 6)
+        reports = run_suite("all", 12, ks)
+        checks, tallies = calls["_check"], calls["_rooted_tally"]
+        assert len(reports) == 5323 and all(r.holds for r in reports)
+        assert calls["adjacency_code"] > 0
+        millipedes = 4
+        entries = sum(
+            len(enumerate_trees(n).entries) + len(enumerate_trees_bounded_degree(n, 3))
+            for n in range(1, 13)
+        )
+        assert checks <= entries + millipedes
+        lemma_trees = sum(len(enumerate_trees(n).entries) for n in range(2, 13))
+        # Every (tree, k) pair needs one DP, so this many calls means one each.
+        assert tallies == lemma_trees * len(ks) + millipedes
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from treelab.census import VerificationReport
+import treelab.cli as cli_module
+from treelab.catalog import enumerate_trees
+from treelab.census import VerificationReport, run_suite
 from treelab.cli import main
 from treelab.generators import make_path
-from treelab.trees import dump_tree, load_tree
+from treelab.trees import dump_tree, load_tree, tree_to_json
 
 
 def run(capsys, *argv):
@@ -197,8 +199,6 @@ class TestVerify:
         assert data and all(r["holds"] for r in data)
 
     def test_exit_one_on_failure(self, capsys, monkeypatch):
-        import treelab.cli as cli_module
-
         def fake_suite(suite, max_n, ks):
             return [VerificationReport(check="forced", inputs="x", lhs=1,
                                        rhs=0, holds=False, slack=-1)]
@@ -222,6 +222,43 @@ class TestVerify:
         window = [r for r in data if r["check"].endswith("window_bound")]
         assert window
         assert all("k=5" in r["inputs"] for r in window)
+
+
+class TestWriteJson:
+    # _write_json writes the text json.dumps(payload, indent=2) renders,
+    # plus one newline, to stdout or to a file.
+    PAYLOAD = [{"a": 1, "b": [1, -2.5, {"c": "x/y"}], "d": None, "e": True}, [], {}, "\u00e9"]
+
+    @staticmethod
+    def expected(payload) -> str:
+        return json.dumps(payload, indent=2) + "\n"
+
+    def test_stdout(self, capsys):
+        cli_module._write_json(self.PAYLOAD, None)
+        assert capsys.readouterr().out == self.expected(self.PAYLOAD)
+
+    def test_file(self, tmp_path):
+        path = tmp_path / "payload.json"
+        cli_module._write_json(self.PAYLOAD, str(path))
+        assert path.read_bytes() == self.expected(self.PAYLOAD).encode()
+
+    def test_verify_report(self, tmp_path, capsys):
+        payload = [cli_module._jsonify_report(r, 12) for r in run_suite("all", 7)]
+        code, out, _ = run(capsys, "verify", "--max-n", "7")
+        assert (code, out) == (0, self.expected(payload))
+        report = tmp_path / "report.json"
+        code, out, _ = run(capsys, "verify", "--max-n", "7", "--report", str(report))
+        assert (code, out) == (0, "")
+        assert report.read_bytes() == self.expected(payload).encode()
+
+    def test_enum_out(self, tmp_path, capsys):
+        payload = [tree_to_json(t) for t in enumerate_trees(7).entries]
+        code, out, _ = run(capsys, "enum", "--k", "7")
+        assert (code, out) == (0, self.expected(payload))
+        path = tmp_path / "enum.json"
+        code, out, _ = run(capsys, "enum", "--k", "7", "--out", str(path))
+        assert (code, out) == (0, "")
+        assert path.read_bytes() == self.expected(payload).encode()
 
 
 class TestCatalogCap:

@@ -28,6 +28,7 @@ from treelab.trees import (
     is_isomorphic,
     leaves,
     lowest_leaf,
+    make_tree,
     max_degree,
     require_valid,
 )
@@ -253,3 +254,12 @@ class TestRandomTrees:
     def test_bounded_degree_infeasible(self):
         with pytest.raises(ValueError):
             random_tree_bounded_degree(4, 1, random.Random(0))
+
+    @pytest.mark.parametrize("n, dmax", [(2, 0), (3, 1)])
+    def test_bounded_degree_too_small_for_n(self, n, dmax):
+        with pytest.raises(ValueError, match=f"^dmax={dmax} cannot accommodate {n} vertices$"):
+            random_tree_bounded_degree(n, dmax, random.Random(0))
+
+    def test_bounded_degree_single_vertex_needs_no_degree(self):
+        t = random_tree_bounded_degree(1, 0, random.Random(0))
+        assert t == make_tree(1, [])
