@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Time treelab layer by layer and record the medians in a BENCH JSON file.
 
-Each case runs 5 times, every run in a fresh interpreter against
-the chosen checkout's src: the run builds its inputs untimed, then times
-one call with time.perf_counter.  The medians and every sample go into
-the output file under --label, beside the checkout's git SHA (and whether
-its src differs from that commit), the Python version and nproc; other
-labels already in the file are kept, so a parent and a change can be
-recorded side by side.
+Each --run LABEL=PATH names a checkout to time.  Each case runs 5 times
+per checkout, every run in a fresh interpreter against that checkout's
+src: the run builds its inputs untimed, then times one call with
+time.perf_counter.  The samples of one case are interleaved: each repeat
+takes one sample per checkout, and the checkout that goes first rotates
+from repeat to repeat, so drift of the machine during a case falls on
+every checkout alike.  The medians and every sample go into the output
+file under each label, beside the checkout's git SHA (and whether its src
+differs from that commit), the Python version and nproc; other labels
+already in the file are kept.
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench.py --out BENCH.json --label change
-    python3 scripts/bench.py --out BENCH.json --label parent --src ../parent
+    python3 scripts/bench.py --out BENCH.json --run parent=../parent --run change=.
 
 Cases:
   load_convex_host    load_tree of the 167,548-vertex `gen convex` host
@@ -41,7 +43,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 5
 
 CONVEX = "convex_glue(make_path(40), make_star(40), 5, 1, 2, vertex_cap=250_000)"
@@ -93,29 +94,51 @@ def git_state(src: Path) -> dict:
     return {"sha": head.stdout.strip(), "src_modified": modified}
 
 
+def parse_runs(ap: argparse.ArgumentParser, specs: list[str]) -> dict[str, Path]:
+    runs: dict[str, Path] = {}
+    for spec in specs:
+        label, sep, path = spec.partition("=")
+        if not (sep and label and path):
+            ap.error(f"--run wants LABEL=PATH, got {spec!r}")
+        if label in runs:
+            ap.error(f"--run label {label!r} given twice")
+        runs[label] = Path(path).resolve()
+    return runs
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="BENCH JSON file to create or update")
-    ap.add_argument("--label", required=True, help="name of this checkout's entry, e.g. parent")
-    ap.add_argument("--src", default=str(ROOT), help="checkout to time (default: this one)")
+    ap.add_argument("--run", action="append", required=True, metavar="LABEL=PATH",
+                    help="time the checkout at PATH under LABEL, e.g. parent=../parent; repeatable")
     args = ap.parse_args()
-    checkout = Path(args.src).resolve()
-    entry = {**git_state(checkout), "python": platform.python_version(),
-             "nproc": os.cpu_count(), "repeat": REPEAT, "median_s": {}, "samples_s": {}}
+    runs = parse_runs(ap, args.run)
+    labels = list(runs)
+    entries = {label: {**git_state(checkout), "python": platform.python_version(),
+                       "nproc": os.cpu_count(), "repeat": REPEAT, "median_s": {}, "samples_s": {}}
+               for label, checkout in runs.items()}
     with tempfile.TemporaryDirectory() as work:
-        prelude = PRELUDE.format(src=str(checkout / "src"), host=f"{work}/convex.json",
-                                 random=f"{work}/random.json")
-        run_child(f"{prelude}dump_tree({CONVEX}, HOST)\n"
-                  "dump_tree(random_tree(20000, 1), RANDOM)\n")
+        preludes = {}
+        for i, (label, checkout) in enumerate(runs.items()):
+            preludes[label] = PRELUDE.format(src=str(checkout / "src"), host=f"{work}/convex{i}.json",
+                                             random=f"{work}/random{i}.json")
+            run_child(f"{preludes[label]}dump_tree({CONVEX}, HOST)\n"
+                      "dump_tree(random_tree(20000, 1), RANDOM)\n")
         for name, (setup, stmt) in CASES.items():
-            samples = [time_case(prelude, setup, stmt) for _ in range(REPEAT)]
-            entry["median_s"][name] = round(statistics.median(samples), 4)
-            entry["samples_s"][name] = [round(s, 4) for s in samples]
-            print(f"{args.label:>8} {name:22} median {entry['median_s'][name]:.4f} s", flush=True)
+            samples: dict[str, list[float]] = {label: [] for label in labels}
+            for r in range(REPEAT):
+                first = r % len(labels)
+                for label in labels[first:] + labels[:first]:
+                    samples[label].append(time_case(preludes[label], setup, stmt))
+            for label in labels:
+                median = round(statistics.median(samples[label]), 4)
+                entries[label]["median_s"][name] = median
+                entries[label]["samples_s"][name] = [round(x, 4) for x in samples[label]]
+                print(f"{label:>8} {name:22} median {median:.4f} s", flush=True)
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data["cases"] = {name: stmt for name, (_, stmt) in CASES.items()}
-    data.setdefault("runs", {})[args.label] = entry
+    data.setdefault("runs", {}).update(entries)
     out.write_text(json.dumps(data, indent=2) + "\n")
     return 0
 

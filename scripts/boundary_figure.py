@@ -14,7 +14,6 @@ Usage: boundary_figure.py --out figure.csv [--d-max 8] [--samples 50]
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 
 from treelab.config import DEFAULT_DECIMAL_PRECISION
@@ -33,26 +32,25 @@ def main():
                     help="millipede lengths for the finite overlay; empty to skip")
     args = ap.parse_args()
 
-    buf = io.StringIO()
-    emit_figure_data(args.d_max, buf, args.samples, args.precision)
-
+    parts = [emit_figure_data(args.d_max, args.samples, args.precision)]
     lengths = [int(x) for x in args.finite_lengths.split(",") if x]
     for d in range(0, args.d_max + 1):
         for length in lengths:
             p = projection_point(make_millipede(d, length))
-            buf.write(
+            parts.append(
                 f"finite,d{d}L{length},"
                 f"{fraction_to_decimal(p.x, args.precision)},"
                 f"{fraction_to_decimal(p.y, args.precision)},"
                 f"{p.x.numerator}/{p.x.denominator},"
                 f"{p.y.numerator}/{p.y.denominator}\n"
             )
+    text = "".join(parts)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+            fh.write(text)
     else:
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(text)
 
 
 if __name__ == "__main__":

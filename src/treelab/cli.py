@@ -164,7 +164,7 @@ def _cmd_gen(args, cfg: Config) -> int:
         b = load_tree(args.s)
         # The smallest result; convex_glue glues copies before its own check.
         check_vertex_cap(glue_size(a.n, b.n, args.k), cap, "gen convex")
-        t = convex_glue(a, b, args.k, args.alpha, args.beta, vertex_cap=cap, nominal=args.nominal)
+        t = convex_glue(a, b, args.k, args.alpha, args.beta, vertex_cap=cap)
     else:
         check_vertex_cap(args.n, cap, "gen random")
         seed = args.local_seed if args.local_seed is not None else cfg.seed
@@ -187,8 +187,7 @@ def _cmd_verify(args, cfg: Config) -> int:
 
 
 def _cmd_region(args, cfg: Config) -> int:
-    out = sys.stdout if args.out is None else args.out
-    emit_figure_data(args.d_max, out, args.samples, cfg.decimal_precision)
+    _write_output(emit_figure_data(args.d_max, args.samples, cfg.decimal_precision), args.out)
     return 0
 
 
@@ -210,7 +209,7 @@ def _cmd_scan(args, cfg: Config) -> int:
 def _cmd_inducibility(args, cfg: Config) -> int:
     t = load_tree(args.tree)
     _check_catalog_cap(t.n, f"inducibility --tree with {t.n} vertices", cfg)
-    schedule = tuple(int(x) for x in args.schedule.split(",")) if args.schedule else (1, 2, 4, 8, 16)
+    schedule = (1, 2, 4, 8, 16) if args.schedule is None else tuple(int(x) for x in args.schedule.split(","))
     report = inducibility_lower_bound(t, schedule, cfg.vertex_cap)
     digits = cfg.decimal_precision
     payload = {
@@ -279,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--alpha", type=int, required=True)
     g.add_argument("--beta", type=int, required=True)
-    g.add_argument("--nominal", action="store_true",
-                   help="use plain window-total multiplicities instead of junction-aware ones")
     g = gensub.add_parser("random")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, dest="local_seed")

@@ -74,7 +74,8 @@ def config_from_environment(environ=None) -> dict:
 
 
 def resolve_config(flags: dict | None = None, environ=None, config_path=None) -> Config:
-    """Merge defaults < config file < environment < explicit flags."""
+    """Merge defaults < config file < environment < explicit flags, then
+    reject a decimal precision below 1, wherever it came from."""
     cfg = Config()
     if config_path is not None:
         cfg = replace(cfg, **parse_config_file(config_path))
@@ -83,4 +84,6 @@ def resolve_config(flags: dict | None = None, environ=None, config_path=None) ->
         cfg = replace(cfg, **env_values)
     if flags:
         cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    if cfg.decimal_precision < 1:
+        raise ValueError(f"precision must be >= 1, got {cfg.decimal_precision}")
     return cfg

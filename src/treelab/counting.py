@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import enumerate_trees
-from .trees import Tree, adjacency_code, canonical_code, checked_walk, degrees
+from .trees import Tree, adjacency_code, checked_walk, degrees
 
 
 def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]]]:
@@ -157,17 +157,6 @@ def count_all(t: Tree, k: int) -> CountsRecord:
     for code, c in _window_tally(t, k).items():
         counts[catalog.index_of[code] - 1] = c
     return CountsRecord(k=k, per_type=tuple(counts), total=sum(counts))
-
-
-def count_copies(s: Tree, t: Tree) -> int:
-    """Number of windows of t whose shape is s.
-
-    A window is a vertex subset inducing a connected subgraph; copies are
-    counted as subsets, not as maps, so a pattern with symmetries is still
-    counted once per subset.  No catalog is built, so s may be of any size.
-    """
-    target = canonical_code(s)
-    return _window_tally(t, s.n).get(target, 0)
 
 
 def profile(t: Tree, k: int) -> ProfileVector:

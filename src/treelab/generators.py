@@ -158,13 +158,6 @@ def glue_power(t: Tree, k: int, power: int) -> Tree:
     return Tree(len(deg), tuple(edges))
 
 
-def _window_total(t: Tree, k: int) -> int:
-    # Local import: counting pulls in catalog, which needs the builders above.
-    from .counting import count_connected_subsets
-
-    return count_connected_subsets(t, k)
-
-
 def _glued_pair_rate(t: Tree, k: int) -> int:
     """Windows contributed per copy of t inside a long chain of copies.
 
@@ -172,9 +165,12 @@ def _glued_pair_rate(t: Tree, k: int) -> int:
     that straddle one connector path; both are read off the two-copy glue:
     rate = total(t glued to t) - total(t).
     """
+    # Local import: counting pulls in catalog, which needs the builders above.
+    from .counting import count_connected_subsets
+
     anchor = lowest_leaf(t)
     doubled = glue(t, t, k, anchor, anchor)
-    return _window_total(doubled, k) - _window_total(t, k)
+    return count_connected_subsets(doubled, k) - count_connected_subsets(t, k)
 
 
 def convex_glue_multiplicities(
@@ -185,27 +181,20 @@ def convex_glue_multiplicities(
     beta: int,
     *,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
-    nominal: bool = False,
 ) -> tuple[int, int]:
     """Copy counts (m_t, m_s) used by convex_glue.
 
-    Nominal mode balances bare window totals: m_t : m_s =
-    alpha*Z(s) : (beta-alpha)*Z(t), reduced.  Default mode balances the
-    per-copy rates inside a chain (window total plus one connector's
-    straddling windows), which is what actually governs the mixture as the
-    construction grows, then scales the pair as far as the vertex budget
-    allows while preserving the ratio.
+    Balances the per-copy rates of t and s inside a chain (window total
+    plus one connector's straddling windows), which govern the mixture as
+    the construction grows: m_t : m_s = alpha*rate(s) : (beta-alpha)*rate(t)
+    as closely as integers allow, scaled as far as the vertex budget allows.
     """
     if k < 2:
         raise ValueError(f"window size must be >= 2, got k={k}")
     if not (0 < alpha < beta):
         raise ValueError(f"weights must satisfy 0 < alpha < beta, got alpha={alpha} beta={beta}")
-    if nominal:
-        rate_t = _window_total(t, k)
-        rate_s = _window_total(s, k)
-    else:
-        rate_t = _glued_pair_rate(t, k)
-        rate_s = _glued_pair_rate(s, k)
+    rate_t = _glued_pair_rate(t, k)
+    rate_s = _glued_pair_rate(s, k)
     if rate_t <= 0 or rate_s <= 0:
         raise ValueError(
             f"both sides must contain at least one window of {k} vertices "
@@ -216,10 +205,6 @@ def convex_glue_multiplicities(
     def size(m_t: int, m_s: int) -> int:
         return glue_size(glue_power_size(t.n, k, m_t), glue_power_size(s.n, k, m_s), k)
 
-    if nominal:
-        m_t0, m_s0 = ratio.numerator, ratio.denominator
-        check_vertex_cap(size(m_t0, m_s0), vertex_cap, f"balanced pair {(m_t0, m_s0)}")
-        return m_t0, m_s0
     # Largest pair under the cap with m_t/m_s as close to the ratio as
     # integers allow.  Parametrize by the smaller multiplier and round the
     # larger one, so the rounding error is relative to the big count.
@@ -250,7 +235,6 @@ def convex_glue(
     beta: int,
     *,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
-    nominal: bool = False,
 ) -> Tree:
     """Chain copies of t and s so their windows mix in ratio alpha : beta - alpha.
 
@@ -259,9 +243,7 @@ def convex_glue(
     profile of the result approaches the prescribed convex combination of
     the two input profiles as the vertex budget grows.
     """
-    m_t, m_s = convex_glue_multiplicities(
-        t, s, k, alpha, beta, vertex_cap=vertex_cap, nominal=nominal
-    )
+    m_t, m_s = convex_glue_multiplicities(t, s, k, alpha, beta, vertex_cap=vertex_cap)
     left = glue_power(t, k, m_t)
     right = glue_power(s, k, m_s)
     return glue(left, right, k, lowest_leaf(left), lowest_leaf(right))

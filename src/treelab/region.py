@@ -30,7 +30,7 @@ from .counting import (
     count_y_fast,
     fraction_to_decimal,
 )
-from .generators import glue_power, glue_power_size, make_millipede, prufer_to_tree
+from .generators import glue_power, glue_power_size, prufer_to_tree
 from .trees import Tree, canonical_code, max_degree
 
 @dataclass(frozen=True)
@@ -142,60 +142,12 @@ def inner_region(d_max: int) -> tuple[PlanePoint, ...]:
     return convex_hull(points)
 
 
-def millipede_limit_consistency(d: int, lengths: tuple[int, ...] = (5, 10, 20, 40)) -> VerificationReport:
-    """Engine counts on finite millipedes match the closed forms exactly,
-    and their projections approach the limit point monotonically.
-
-    For each length n: S = n*C(d+2,4), P = (n-2)*(d+1)^2, Y = (n-1)*(d+1)^2*d,
-    checked against the full enumeration engine; then the exact L1 distance
-    from the finite projection to m_point(d) must strictly decrease along
-    the schedule.
-    """
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
-    if len(lengths) < 2 or any(l < 3 for l in lengths) or sorted(lengths) != list(lengths):
-        raise ValueError("lengths must be an increasing schedule of values >= 3")
-    limit = m_point(d)
-    parts: list[VerificationReport] = []
-    distances: list[Fraction] = []
-    for n in lengths:
-        t = make_millipede(d, n)
-        record = count_all(t, 5)
-        expected = ((n - 2) * (d + 1) ** 2, n * math.comb(d + 2, 4), (n - 1) * (d + 1) ** 2 * d)
-        for name, got, want in zip(("P", "S", "Y"), record.per_type, expected):
-            parts.append(VerificationReport(
-                check=f"millipede_{name}_closed_form", inputs=f"d={d} length={n}",
-                lhs=got, rhs=want, holds=got == want, slack=want - got,
-            ))
-        p = PlanePoint(
-            x=Fraction(record.per_type[0], record.total),
-            y=Fraction(record.per_type[1], record.total),
-        )
-        distances.append(abs(p.x - limit.x) + abs(p.y - limit.y))
-    # A family already sitting exactly on its limit (d=0: every member is a
-    # path) has all-zero distances; that counts as converged, not stuck.
-    monotone = all(b < a or a == b == 0 for a, b in zip(distances, distances[1:]))
-    parts.append(VerificationReport(
-        check="millipede_distance_monotone",
-        inputs=f"d={d} lengths={list(lengths)}",
-        lhs=distances[-1], rhs=distances[0], holds=monotone,
-        slack=distances[0] - distances[-1],
-        note="L1 distances to the limit point, farthest to closest",
-    ))
-    return VerificationReport(
-        check="millipede_limit_consistency", inputs=f"d={d} lengths={list(lengths)}",
-        lhs=distances[-1], rhs=Fraction(0), holds=all(p.holds for p in parts),
-        slack=-distances[-1], parts=tuple(parts),
-    )
-
-
 def emit_figure_data(
     d_max: int,
-    out,
     samples: int = 50,
     precision: int = DEFAULT_DECIMAL_PRECISION,
-) -> None:
-    """Write the plane picture as CSV: boundary line, inner polygon, limit points.
+) -> str:
+    """The plane picture as CSV text: boundary line, inner polygon, limit points.
 
     Three labeled series: "red" samples y = (1-2x)/37 on x in [0, 1/2],
     "blue" lists the inner_region hull vertices in boundary order, "m" the
@@ -204,8 +156,6 @@ def emit_figure_data(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if precision < 1:  # checked before the header is written
-        raise ValueError(f"precision must be >= 1, got {precision}")
     rows: list[tuple[str, str, Fraction, Fraction]] = []
     for i in range(samples + 1):
         x = Fraction(i, 2 * samples)
@@ -215,21 +165,14 @@ def emit_figure_data(
     for d in range(d_max + 1):
         p = m_point(d)
         rows.append(("m", str(d), p.x, p.y))
-
-    def write(fh) -> None:
-        fh.write("series,label,x,y,x_exact,y_exact\n")
-        for series, label, x, y in rows:
-            fh.write(
-                f"{series},{label},{fraction_to_decimal(x, precision)},"
-                f"{fraction_to_decimal(y, precision)},{x.numerator}/{x.denominator},"
-                f"{y.numerator}/{y.denominator}\n"
-            )
-
-    if hasattr(out, "write"):
-        write(out)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            write(fh)
+    lines = ["series,label,x,y,x_exact,y_exact\n"]
+    for series, label, x, y in rows:
+        lines.append(
+            f"{series},{label},{fraction_to_decimal(x, precision)},"
+            f"{fraction_to_decimal(y, precision)},{x.numerator}/{x.denominator},"
+            f"{y.numerator}/{y.denominator}\n"
+        )
+    return "".join(lines)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import groupby
-from math import factorial
 from typing import NamedTuple
 
 
@@ -81,12 +79,6 @@ def validate(t: Tree) -> str | None:
     unreached, and is reported as "not connected".
     """
     return _check(t)[0]
-
-
-def require_valid(t: Tree) -> list[list[int]]:
-    """Raise InvalidTreeError unless t passes validate(); return the
-    adjacency lists that check built."""
-    return checked_walk(t).adj
 
 
 def checked_walk(t: Tree) -> Walk:
@@ -216,47 +208,21 @@ def adjacency_code(adj: list[list[int]]) -> bytes:
     for lists that treelab built itself and knows to describe a tree."""
     c = _center(adj)
     if len(c) == 1:
-        return _rooted_code(adj, c[0])[0]
-    return min(_rooted_code(adj, c[0])[0], _rooted_code(adj, c[1])[0])
+        return _rooted_code(adj, c[0])
+    return min(_rooted_code(adj, c[0]), _rooted_code(adj, c[1]))
 
 
 def is_isomorphic(a: Tree, b: Tree) -> bool:
     return a.n == b.n and canonical_code(a) == canonical_code(b)
 
 
-def relabel(t: Tree, perm) -> Tree:
-    """Apply a vertex permutation (perm[v] is the new label of v)."""
-    return Tree(t.n, tuple((perm[u], perm[v]) for u, v in t.edges))
-
-
-def aut_size(t: Tree) -> int:
-    """Order of the automorphism group.
-
-    Rooted at the center, the count is the product over vertices of m! for
-    every group of m identical child codes; a bicentral tree is split at
-    the central edge into two rooted halves, and isomorphic halves gain an
-    extra factor 2 for the swap.
-    """
-    adj = require_valid(t)
-    c = _center(adj)
-    if len(c) == 1:
-        return _rooted_code(adj, c[0], count_aut=True)[1]
-    code0, aut0 = _rooted_code(adj, c[0], c[1], count_aut=True)
-    code1, aut1 = _rooted_code(adj, c[1], c[0], count_aut=True)
-    return 2 * aut0 * aut1 if code0 == code1 else aut0 * aut1
-
-
-def bfs_order(adj: list[list[int]], root: int, banned: int = -1) -> tuple[list[int], list[int]]:
+def bfs_order(adj: list[list[int]], root: int) -> tuple[list[int], list[int]]:
     """Vertices of a tree in breadth-first order from root, and the parent
-    of each (root's parent is banned).
-
-    banned is -1 or a neighbour of root; in the latter case the walk stays
-    on root's side of that edge.  The walk tracks no visited set, so adj
-    must be a tree's adjacency.
-    """
+    of each (root's parent is -1).  The walk tracks no visited set, so adj
+    must be a tree's adjacency."""
     order = [root]
     parent = [-2] * len(adj)
-    parent[root] = banned
+    parent[root] = -1
     for v in order:
         pv = parent[v]
         for w in adj[v]:
@@ -266,24 +232,14 @@ def bfs_order(adj: list[list[int]], root: int, banned: int = -1) -> tuple[list[i
     return order, parent
 
 
-def _rooted_code(
-    adj: list[list[int]], root: int, banned: int = -1, count_aut: bool = False
-) -> tuple[bytes, int]:
-    """Code of the tree rooted at root (on root's side of banned, as in
-    bfs_order) and, if count_aut, the order of its automorphism group: the
-    product over vertices of m! for every run of m equal child codes.
-    Without count_aut the second value is 1."""
-    order, parent = bfs_order(adj, root, banned)
+def _rooted_code(adj: list[list[int]], root: int) -> bytes:
+    """Code of the tree rooted at root."""
+    order, parent = bfs_order(adj, root)
     code: list[bytes] = [b""] * len(adj)
-    aut = 1
     for v in reversed(order):
         pv = parent[v]
-        kids = sorted(code[w] for w in adj[v] if w != pv)
-        if count_aut:
-            for _, run in groupby(kids):
-                aut *= factorial(sum(1 for _ in run))
-        code[v] = b"(" + b"".join(kids) + b")"
-    return code[root], aut
+        code[v] = b"(" + b"".join(sorted(code[w] for w in adj[v] if w != pv)) + b")"
+    return code[root]
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +290,11 @@ def parse_tree_text(text: str) -> Tree:
     """
     text = text.strip()
     if text.startswith("{"):
+        # ValueError covers JSONDecodeError and integers past the digit
+        # limit; deep nesting exhausts the decoder's recursion.
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise InvalidTreeError(f"bad tree JSON: {e}") from None
         # A large host's peak memory is set here: free the text before
         # the edges are copied out of the parsed JSON, and the JSON before

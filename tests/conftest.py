@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's counting engine: the
 naive census tests every vertex subset for connectivity, the subset
 generator lists every window one by one, and both classify by canonical
-code, so agreement with the engine is meaningful evidence.
+code, so agreement with the engine is meaningful evidence.  The
+automorphism count tries every vertex permutation.
 """
 
 from __future__ import annotations
@@ -79,6 +80,16 @@ def enumerate_connected_subsets(t: Tree, k: int):
         ext = [(u, 0) for u in adj[anchor] if u > anchor]
         if ext:
             yield from grow(anchor, (anchor,), ext)
+
+
+def automorphism_count(t: Tree) -> int:
+    """Order of the automorphism group of t: the vertex permutations that
+    map the edge set onto itself, tried one by one."""
+    edges = {frozenset(e) for e in t.edges}
+    return sum(
+        1 for perm in itertools.permutations(range(t.n))
+        if all(frozenset((perm[u], perm[v])) in edges for u, v in t.edges)
+    )
 
 
 def naive_copy_count(pattern: Tree, host: Tree) -> int:

@@ -18,7 +18,6 @@ from treelab.trees import (
     degrees,
     make_tree,
     max_degree,
-    require_valid,
 )
 
 # shape counts for 1..10 vertices; 9 and 10 were frozen from a full
@@ -82,7 +81,7 @@ class TestIndex:
     def test_entries_are_valid_and_sized(self):
         for k in range(1, 10):
             for t in enumerate_trees(k).entries:
-                require_valid(t)
+                checked_walk(t)
                 assert t.n == k
 
     def test_k_bounds(self):
@@ -152,7 +151,7 @@ class TestBoundedDegree:
     def test_degree_bound_respected(self):
         for n in range(1, 13):
             for t in enumerate_trees_bounded_degree(n, 3):
-                require_valid(t)
+                checked_walk(t)
                 assert max_degree(t) <= 3
 
     def test_known_binary_counts(self):

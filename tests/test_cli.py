@@ -83,6 +83,10 @@ class TestProfile:
         '{"n": 2, "edges": [[0, 1.5]]}',
         '{"n": 2, "edges": [[0, true]]}',
         '{"n": true, "edges": []}',
+        # Nesting past the decoder's recursion limit, and an integer past
+        # the digit limit.
+        pytest.param('{"n": ' + "[" * 100_000 + "]" * 100_000 + ', "edges": []}', id="deep"),
+        pytest.param('{"n": ' + "9" * 5_000 + ', "edges": []}', id="long-integer"),
     ])
     def test_malformed_tree_json_exits_two(self, tmp_path, capsys, text):
         f = tmp_path / "f.json"
@@ -181,6 +185,15 @@ class TestGen:
         assert code == 2
         assert out == ""
         assert err == "treelab: error: gen convex would use 49 vertices, cap is 30\n"
+
+    def test_convex_nominal_flag_removed(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        dump_tree(make_path(8), a)
+        with pytest.raises(SystemExit) as e:
+            main(["gen", "convex", "--t", str(a), "--s", str(a), "--k", "5",
+                  "--alpha", "1", "--beta", "2", "--nominal"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --nominal" in capsys.readouterr().err
 
     def test_random_deterministic(self, capsys):
         _, out1, _ = run(capsys, "gen", "random", "--n", "12", "--seed", "5")
@@ -316,6 +329,13 @@ class TestRegionScan:
         assert err.count("\n") == 1
         assert not f.exists()
 
+    def test_precision_below_one_exits_two_before_any_work(self, capsys, monkeypatch):
+        code, out, err = run(capsys, "--precision", "0", "verify", "--suite", "census")
+        assert (code, out, err) == (2, "", "treelab: error: precision must be >= 1, got 0\n")
+        monkeypatch.setenv("TREELAB_DECIMAL_PRECISION", "0")
+        code, out, err = run(capsys, "scan", "--max-n", "3")
+        assert (code, out, err) == (2, "", "treelab: error: precision must be >= 1, got 0\n")
+
     def test_scan_json(self, capsys):
         code, out, _ = run(capsys, "scan", "--max-n", "7", "--budget", "10",
                            "--seed", "2")
@@ -340,6 +360,14 @@ class TestRegionScan:
         assert d["k"] == 5
         assert d["observed"][0]["exact"] == "1/1"
         assert d["best_certified"]["decimal"]
+
+
+    def test_inducibility_empty_schedule_exits_two(self, tmp_path, capsys):
+        f = tmp_path / "t.json"
+        dump_tree(make_path(5), f)
+        code, out, err = run(capsys, "inducibility", "--tree", str(f), "--schedule", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("treelab: error: ") and err.count("\n") == 1
 
 
 class TestConfigPlumbing:

@@ -80,3 +80,18 @@ class TestPrecedence:
 
     def test_threads_is_not_read(self):
         assert config_from_environment({"TREELAB_THREADS": "2"}) == {}
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("source", ["flag", "environment", "file"])
+    def test_below_one_rejected_from_any_source(self, tmp_path, source):
+        p = tmp_path / "treelab.conf"
+        p.write_text("decimal_precision = 0\n" if source == "file" else "")
+        flags = {"decimal_precision": 0} if source == "flag" else {}
+        environ = {"TREELAB_DECIMAL_PRECISION": "0"} if source == "environment" else {}
+        with pytest.raises(ValueError, match=r"^precision must be >= 1, got 0$"):
+            resolve_config(flags, environ=environ, config_path=p)
+
+    def test_only_the_resolved_value_is_checked(self):
+        cfg = resolve_config({"decimal_precision": 1}, environ={"TREELAB_DECIMAL_PRECISION": "-3"})
+        assert cfg.decimal_precision == 1

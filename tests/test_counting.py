@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from conftest import enumerate_connected_subsets, induced_subtree, naive_copy_count, naive_window_census
 from treelab.catalog import enumerate_trees
 from treelab.counting import (
+    _window_tally,
     count_all,
     count_connected_subsets,
-    count_copies,
     count_paths_fast,
     count_stars_fast,
     count_y_fast,
@@ -93,10 +93,19 @@ class TestManyWindows:
         assert any(x != y for x, y in zip(rows[0], rows[1]))
 
     def test_copies_above_catalog_cap(self):
-        assert count_copies(make_path(14), make_path(20)) == 7
+        # Shapes above the default catalog cap are counted without a catalog.
+        assert _window_tally(make_path(20), 14) == {canonical_code(make_path(14)): 7}
+
+
+def count_copies(pattern, host) -> int:
+    """Windows of host shaped like pattern: pattern's entry in count_all."""
+    index = enumerate_trees(pattern.n).index_of[canonical_code(pattern)]
+    return count_all(host, pattern.n).per_type[index - 1]
 
 
 class TestCountCopies:
+    """One shape's entry of count_all, read as a copy count."""
+
     def test_pattern_is_host(self):
         for t in (make_path(6), make_star(6), Y_SHAPE):
             assert count_copies(t, t) == 1

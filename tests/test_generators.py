@@ -24,32 +24,32 @@ from treelab.generators import (
 )
 from treelab.trees import (
     canonical_code,
+    checked_walk,
     degrees,
     is_isomorphic,
     leaves,
     lowest_leaf,
     make_tree,
     max_degree,
-    require_valid,
 )
 
 
 class TestFamilies:
     def test_path_shape(self):
         t = make_path(6)
-        require_valid(t)
+        checked_walk(t)
         assert sorted(degrees(t)) == [1, 1, 2, 2, 2, 2]
 
     def test_star_shape(self):
         t = make_star(6)
-        require_valid(t)
+        checked_walk(t)
         assert sorted(degrees(t)) == [1, 1, 1, 1, 1, 5]
 
     def test_millipede_size_and_degrees(self):
         for d in range(0, 5):
             for length in (1, 2, 3, 7):
                 t = make_millipede(d, length)
-                require_valid(t)
+                checked_walk(t)
                 assert t.n == length * (d + 1) + 2
                 degs = degrees(t)
                 spine = [v for v in range(t.n) if degs[v] > 1]
@@ -82,7 +82,7 @@ class TestGlue:
     def test_size_formula(self):
         t, s = make_path(6), make_star(5)
         g = glue(t, s, 4, lowest_leaf(t), lowest_leaf(s))
-        require_valid(g)
+        checked_walk(g)
         assert g.n == glue_size(t.n, s.n, 4) == 6 + 5 + 3
 
     def test_left_labels_preserved(self):
@@ -124,7 +124,7 @@ class TestGluePower:
         for k in (2, 4, 6):
             for p in (1, 2, 3, 5):
                 g = glue_power(t, k, p)
-                require_valid(g)
+                checked_walk(g)
                 assert g.n == glue_power_size(t.n, k, p) == p * 7 + (p - 1) * (k - 1)
 
     def test_max_degree_formula(self):
@@ -200,16 +200,6 @@ class TestConvexGlue:
         assert big[0] >= small[0] and big[1] >= small[1]
         assert big[0] > small[0] or big[1] > small[1]
 
-    def test_nominal_mode(self):
-        t, s = make_path(8), make_star(8)
-        m_t, m_s = convex_glue_multiplicities(
-            t, s, 5, 1, 2, vertex_cap=10**6, nominal=True
-        )
-        g = convex_glue(t, s, 5, 1, 2, vertex_cap=10**6, nominal=True)
-        assert g.n == glue_size(
-            glue_power_size(t.n, 5, m_t), glue_power_size(s.n, 5, m_s), 5
-        )
-
     def test_alpha_beta_validation(self):
         t, s = make_path(8), make_star(8)
         with pytest.raises(ValueError):
@@ -224,7 +214,7 @@ class TestConvexGlue:
 
     def test_result_valid(self):
         g = convex_glue(make_path(9), make_star(9), 5, 1, 3, vertex_cap=3_000)
-        require_valid(g)
+        checked_walk(g)
         assert g.n <= 3_000
 
 
@@ -242,7 +232,7 @@ class TestRandomTrees:
     @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.integers(2, 5))
     def test_bounded_degree_respects_bound(self, n, seed, dmax):
         t = random_tree_bounded_degree(n, dmax, random.Random(seed))
-        require_valid(t)
+        checked_walk(t)
         assert t.n == n
         assert max_degree(t) <= max(dmax, 1)
 

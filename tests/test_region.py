@@ -1,10 +1,11 @@
 from __future__ import annotations
 
-import io
+import math
 from fractions import Fraction
 
 import pytest
 
+from treelab.counting import count_all
 from treelab.generators import make_millipede, make_path, make_star, random_tree
 from treelab.region import (
     PlanePoint,
@@ -16,7 +17,6 @@ from treelab.region import (
     inner_region,
     line_margin,
     m_point,
-    millipede_limit_consistency,
     projection_point,
 )
 from treelab.trees import canonical_code, make_tree
@@ -132,20 +132,25 @@ class TestInnerRegion:
 
 class TestMillipedeLimit:
     def test_closed_forms_and_convergence(self):
+        # Engine counts on finite d-millipedes equal the closed forms, and
+        # their projections approach m_point(d) strictly, unless already on it.
         for d in (0, 1, 3):
-            r = millipede_limit_consistency(d, lengths=(3, 6, 12))
-            assert r.holds
-            names = [p.check for p in r.parts]
-            for want in ("millipede_P_closed_form", "millipede_S_closed_form",
-                         "millipede_Y_closed_form"):
-                assert any(n.startswith(want) for n in names)
+            limit = m_point(d)
+            distances = []
+            for n in (3, 6, 12):
+                record = count_all(make_millipede(d, n), 5)
+                assert record.per_type == (
+                    (n - 2) * (d + 1) ** 2, n * math.comb(d + 2, 4), (n - 1) * (d + 1) ** 2 * d,
+                )
+                x = F(record.per_type[0], record.total)
+                y = F(record.per_type[1], record.total)
+                distances.append(abs(x - limit.x) + abs(y - limit.y))
+            assert all(b < a or a == b == 0 for a, b in zip(distances, distances[1:]))
 
 
 class TestFigureData:
     def test_csv_shape(self):
-        buf = io.StringIO()
-        emit_figure_data(3, buf, samples=10, precision=12)
-        lines = buf.getvalue().strip().splitlines()
+        lines = emit_figure_data(3, samples=10, precision=12).strip().splitlines()
         assert lines[0] == "series,label,x,y,x_exact,y_exact"
         red = [ln for ln in lines if ln.startswith("red,")]
         m_rows = [ln for ln in lines if ln.startswith("m,")]
@@ -153,20 +158,13 @@ class TestFigureData:
         assert len(m_rows) == 4
 
     def test_red_series_follows_line(self):
-        buf = io.StringIO()
-        emit_figure_data(2, buf, samples=4, precision=12)
-        for ln in buf.getvalue().strip().splitlines():
+        for ln in emit_figure_data(2, samples=4, precision=12).strip().splitlines():
             if not ln.startswith("red,"):
                 continue
             _, _, _, _, xe, ye = ln.split(",")
             x = Fraction(xe)
             y = Fraction(ye)
             assert y == (1 - 2 * x) / 37
-
-    def test_writes_to_path(self, tmp_path):
-        out = tmp_path / "fig.csv"
-        emit_figure_data(2, out, samples=5)
-        assert out.read_text().startswith("series,label")
 
 
 class TestScan:

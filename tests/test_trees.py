@@ -2,20 +2,23 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import re
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import automorphism_count
+from treelab.catalog import enumerate_trees
 from treelab.generators import make_path, make_star, prufer_to_tree, random_tree
 from treelab.trees import (
     InvalidTreeError,
     Tree,
     adjacency,
-    aut_size,
     bfs_order,
     canonical_code,
     center,
@@ -29,8 +32,6 @@ from treelab.trees import (
     make_tree,
     max_degree,
     parse_tree_text,
-    relabel,
-    require_valid,
     tree_from_json,
     tree_to_json,
     validate,
@@ -109,48 +110,48 @@ class TestValidation:
         problem = validate(t)
         assert (problem is None) == union_find_is_tree(n, edges)
         if problem is None:
-            assert require_valid(t) == adjacency(t)
+            assert checked_walk(t).adj == adjacency(t)
         else:
             assert "\n" not in problem
             with pytest.raises(InvalidTreeError, match=re.escape(problem)):
-                require_valid(t)
+                checked_walk(t)
 
     def test_single_vertex(self):
         t = make_tree(1, ())
-        require_valid(t)
+        checked_walk(t)
         assert t.n == 1 and t.edges == ()
 
     def test_valid_tree_passes(self):
-        require_valid(make_tree(4, ((0, 1), (1, 2), (1, 3))))
+        checked_walk(make_tree(4, ((0, 1), (1, 2), (1, 3))))
 
     def test_edge_count_wrong(self):
         with pytest.raises(InvalidTreeError):
-            require_valid(make_tree(3, ((0, 1),)))
+            checked_walk(make_tree(3, ((0, 1),)))
 
     def test_out_of_range_label(self):
         with pytest.raises(InvalidTreeError):
-            require_valid(make_tree(2, ((0, 2),)))
+            checked_walk(make_tree(2, ((0, 2),)))
 
     def test_self_loop(self):
         with pytest.raises(InvalidTreeError):
-            require_valid(make_tree(2, ((0, 0),)))
+            checked_walk(make_tree(2, ((0, 0),)))
 
     def test_cycle_rejected(self):
         with pytest.raises(InvalidTreeError):
-            require_valid(make_tree(4, ((0, 1), (1, 2), (2, 0))))
+            checked_walk(make_tree(4, ((0, 1), (1, 2), (2, 0))))
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(InvalidTreeError):
-            require_valid(make_tree(3, ((0, 1), (1, 0))))
+            checked_walk(make_tree(3, ((0, 1), (1, 0))))
 
     def test_disconnected_rejected(self):
         # triangle plus a separate edge: right edge count, not a tree
         with pytest.raises(InvalidTreeError):
-            require_valid(make_tree(5, ((0, 1), (1, 2), (2, 0), (3, 4))))
+            checked_walk(make_tree(5, ((0, 1), (1, 2), (2, 0), (3, 4))))
 
     def test_nonpositive_order(self):
         with pytest.raises(InvalidTreeError):
-            require_valid(make_tree(0, ()))
+            checked_walk(make_tree(0, ()))
 
 
 class TestStructure:
@@ -193,7 +194,7 @@ class TestCanonicalCode:
     def test_relabel_invariance(self, t, seed):
         perm = list(range(t.n))
         random.Random(seed).shuffle(perm)
-        s = relabel(t, perm)
+        s = Tree(t.n, tuple((perm[u], perm[v]) for u, v in t.edges))
         assert canonical_code(s) == canonical_code(t)
         assert is_isomorphic(s, t)
 
@@ -203,50 +204,47 @@ class TestCanonicalCode:
 
 
 class TestAutomorphisms:
+    """The brute-force automorphism count, on groups known in closed form,
+    and the labelled-tree counts it ties to the catalog."""
+
     def test_path(self):
-        assert aut_size(make_tree(1, ())) == 1
-        assert aut_size(make_path(2)) == 2
-        assert aut_size(make_path(9)) == 2
+        assert automorphism_count(make_tree(1, ())) == 1
+        assert automorphism_count(make_path(2)) == 2
+        assert automorphism_count(make_path(9)) == 2
 
     def test_star(self):
         for n in (3, 4, 5, 8):
-            expected = 1
-            for i in range(1, n):
-                expected *= i
-            assert aut_size(make_star(n)) == expected
+            assert automorphism_count(make_star(n)) == math.factorial(n - 1)
 
     def test_y_shape(self):
         # degree-3 center, two leaf branches, one branch of length two
         y = make_tree(5, ((0, 1), (0, 2), (0, 3), (3, 4)))
-        assert aut_size(y) == 2
+        assert automorphism_count(y) == 2
 
     def test_double_star(self):
         # two degree-3 vertices joined by an edge, four leaves
         t = make_tree(6, ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5)))
-        assert aut_size(t) == 8
+        assert automorphism_count(t) == 8
 
     def test_matches_permutation_count(self):
-        # Oracle: count the vertex permutations that map the edge set onto itself.
-        from treelab.catalog import enumerate_trees
-
-        for n in range(1, 8):
-            for t in enumerate_trees(n).entries:
-                edges = {frozenset(e) for e in t.edges}
-                brute = sum(
-                    1 for perm in itertools.permutations(range(n))
-                    if all(frozenset((perm[u], perm[v])) in edges for u, v in t.edges)
-                )
-                assert aut_size(t) == brute
+        # Each shape has n!/|Aut| labelled trees: count them by decoding
+        # every Pruefer sequence and sorting the decodes by canonical code.
+        for n in range(3, 8):
+            labelled = Counter(
+                canonical_code(prufer_to_tree(seq, n))
+                for seq in itertools.product(range(n), repeat=n - 2)
+            )
+            entries = enumerate_trees(n).entries
+            assert len(labelled) == len(entries)
+            for t in entries:
+                assert labelled[canonical_code(t)] == math.factorial(n) // automorphism_count(t)
 
     def test_labeled_tree_count_identity(self):
         # Sum of n!/|Aut| over shapes equals the labeled count n^(n-2).
-        from treelab.catalog import enumerate_trees
-
-        fact = [1]
-        for i in range(1, 9):
-            fact.append(fact[-1] * i)
-        for n in range(3, 9):
-            total = sum(fact[n] // aut_size(t) for t in enumerate_trees(n).entries)
+        for n in range(3, 8):
+            total = sum(
+                math.factorial(n) // automorphism_count(t) for t in enumerate_trees(n).entries
+            )
             assert total == n ** (n - 2)
 
 
@@ -274,6 +272,15 @@ class TestSerialization:
     def test_parse_rejects_garbage(self):
         with pytest.raises(InvalidTreeError):
             parse_tree_text("a b c")
+
+    @pytest.mark.parametrize("text", [
+        '{"n": ' + "[" * 100_000 + "]" * 100_000 + ', "edges": []}',
+        '{"n": ' + "9" * 5_000 + ', "edges": []}',
+    ])
+    def test_json_beyond_decoder_limits_is_invalid(self, text):
+        # Nesting past the recursion limit, and an integer past the digit limit.
+        with pytest.raises(InvalidTreeError, match="^bad tree JSON: "):
+            parse_tree_text(text)
 
     def test_file_round_trip(self, tmp_path):
         t = random_tree(11, 5)
