@@ -29,6 +29,13 @@ Cases:
                       n = 1..12, built cold
   verify_cli_12       cli.main for `verify --max-n 12 --report os.devnull`:
                       catalogs, checks and report rendering
+  count_all_k8_gluepower
+                      count_all(host, 8) on glue_power(PATTERN, 8, 4096), a
+                      61,433-vertex chain of one 8-vertex pattern with
+                      degrees 4,2,2,2,1,1,1,1, built in memory
+  inducibility_cli    cli.main for `inducibility` on that pattern, read from
+                      its file, with schedule 1,4,...,4096 and --out
+                      os.devnull: glue powers, counts and rendering
 """
 
 from __future__ import annotations
@@ -47,7 +54,8 @@ REPEAT = 5
 
 CONVEX = "convex_glue(make_path(40), make_star(40), 5, 1, 2, vertex_cap=250_000)"
 
-# name -> (setup, timed statement); HOST and RANDOM are input file paths.
+# name -> (setup, timed statement); HOST, RANDOM and PATTERN_FILE are input
+# file paths.
 CASES = {
     "load_convex_host": ("", "load_tree(HOST)"),
     "count_all_k5_convex": ("t = load_tree(HOST)", "count_all(t, 5)"),
@@ -57,15 +65,19 @@ CASES = {
     "catalog_cold_12": ("", "[(enumerate_trees(n), enumerate_trees_bounded_degree(n, 3))"
                             " for n in range(1, 13)]"),
     "verify_cli_12": ("", 'cli.main(["verify", "--max-n", "12", "--report", os.devnull])'),
+    "count_all_k8_gluepower": ("t = glue_power(PATTERN, 8, 4096)", "count_all(t, 8)"),
+    "inducibility_cli": ("", 'cli.main(["inducibility", "--tree", PATTERN_FILE, "--schedule",'
+                             ' "1,4,16,64,256,1024,4096", "--out", os.devnull])'),
 }
 
 PRELUDE = """\
 import os, sys, time
 sys.path.insert(0, {src!r})
-from treelab import cli, count_all, convex_glue, make_path, make_star, random_tree, run_suite
+from treelab import cli, count_all, convex_glue, glue_power, make_path, make_star, random_tree, run_suite
 from treelab.catalog import enumerate_trees, enumerate_trees_bounded_degree
-from treelab.trees import dump_tree, load_tree
-HOST, RANDOM = {host!r}, {random!r}
+from treelab.trees import dump_tree, load_tree, make_tree
+HOST, RANDOM, PATTERN_FILE = {host!r}, {random!r}, {pattern!r}
+PATTERN = make_tree(8, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)))
 """
 
 
@@ -121,9 +133,11 @@ def main() -> int:
         preludes = {}
         for i, (label, checkout) in enumerate(runs.items()):
             preludes[label] = PRELUDE.format(src=str(checkout / "src"), host=f"{work}/convex{i}.json",
-                                             random=f"{work}/random{i}.json")
+                                             random=f"{work}/random{i}.json",
+                                             pattern=f"{work}/pattern{i}.json")
             run_child(f"{preludes[label]}dump_tree({CONVEX}, HOST)\n"
-                      "dump_tree(random_tree(20000, 1), RANDOM)\n")
+                      "dump_tree(random_tree(20000, 1), RANDOM)\n"
+                      "dump_tree(PATTERN, PATTERN_FILE)\n")
         for name, (setup, stmt) in CASES.items():
             samples: dict[str, list[float]] = {label: [] for label in labels}
             for r in range(REPEAT):

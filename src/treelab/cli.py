@@ -206,10 +206,19 @@ def _cmd_scan(args, cfg: Config) -> int:
     return 0
 
 
+def _parse_schedule(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--schedule wants comma-separated glue powers such as 1,2,4, got {text!r}"
+        ) from None
+
+
 def _cmd_inducibility(args, cfg: Config) -> int:
     t = load_tree(args.tree)
     _check_catalog_cap(t.n, f"inducibility --tree with {t.n} vertices", cfg)
-    schedule = (1, 2, 4, 8, 16) if args.schedule is None else tuple(int(x) for x in args.schedule.split(","))
+    schedule = (1, 2, 4, 8, 16) if args.schedule is None else _parse_schedule(args.schedule)
     report = inducibility_lower_bound(t, schedule, cfg.vertex_cap)
     digits = cfg.decimal_precision
     payload = {

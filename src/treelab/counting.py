@@ -14,6 +14,16 @@ child.  Shapes are ids in a table local to each call, so the cost grows
 with n and k, not with the number of windows, and each k-vertex rooted
 shape found is un-rooted to its canonical code once.
 
+On hosts past a few dozen vertices the DP hash-conses its vertex states:
+the first few hundred distinct states are interned by content, and a
+vertex whose children's states are all interned reuses the result of the
+first vertex with the same child states, so its merges are done once per
+distinct key of child state ids.  Glue powers and the two-family mixture
+repeat a few local shapes thousands of times and cost little more than
+their distinct keys; a host whose states do not repeat fills the bounded
+table and merges plain dicts vertex by vertex, in memory bounded as
+before.
+
 The DP and the path counter run leaf to root over the reverse of the
 tree's checked walk (trees.checked_walk): a host read from a file brings
 the adjacency lists and parent-before-child order its validation built,
@@ -36,10 +46,33 @@ from .catalog import enumerate_trees
 from .trees import Tree, adjacency_code, checked_walk, degrees
 
 
+# Most states _rooted_tally interns by content.  Past this many it keeps
+# new states as plain dicts, so a host whose states rarely repeat holds a
+# bounded table: interning every distinct state raised the tracemalloc peak
+# of count_all(random_tree(4000, 1), 8) from 1.5 to 6.9 MB.
+_INTERN_CAP = 256
+# Hosts with fewer vertices merge plain dicts only.  On them few states
+# repeat, and the interning made the DP 20-70% slower on random trees of
+# 8 to 40 vertices (the verify corpus has at most 12); glue powers of an
+# 8-vertex pattern at k = 8 break even at about 50 vertices.
+_INTERN_MIN_N = 64
+
+
 def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]]]:
     """Number of windows of k vertices of t per rooted shape, each window
     rooted at its top vertex, and the shape table: shape s has the sorted
-    child shapes kids[s], and shape 0 is the lone vertex."""
+    child shapes kids[s], and shape 0 is the lone vertex.
+
+    A vertex's state (shape -> sets of fewer than k vertices topped by it)
+    and its k-vertex windows depend only on its children's states.  On a
+    host of at least _INTERN_MIN_N vertices the first _INTERN_CAP distinct
+    states are interned by content, and a vertex whose children are all
+    interned looks up the tuple of their ids: on a hit it reuses that key's
+    result and bumps its use count, and each key's windows are tallied
+    once, times its use count, at the end.  So the cost grows with the
+    number of distinct child-state keys, not with n, on hosts that repeat
+    a few local shapes, such as glue powers.
+    """
     if k < 1:
         raise ValueError(f"window size must be >= 1, got k={k}")
     kids: list[tuple[int, ...]] = [()]
@@ -51,18 +84,41 @@ def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]
     ids: dict[tuple[int, ...], int] = {(): 0}
     join_of: list[dict[int, int]] = [{}]
     tally: dict[int, int] = {}
+    # states[i] is interned state i and interned finds it from its items;
+    # memo maps a tuple of child state ids to [state id, that vertex's
+    # k-vertex windows, uses], for keys whose result was interned.
+    states: list[dict[int, int]] = []
+    interned: dict[frozenset, int] = {}
+    memo: dict[tuple, list] = {}
+    cap = _INTERN_CAP if t.n >= _INTERN_MIN_N else 0
     adj, order = checked_walk(t)
     lone = {0: 1}
-    # below[v]: shape -> sets of fewer than k vertices topped by v, kept
-    # until v's parent, whose done neighbours are exactly its children.
+    # below[v]: v's state, an interned id or a plain dict, kept until v's
+    # parent, whose done neighbours are exactly its children.
     below: list = [None] * t.n
     for v in reversed(order):
-        top = lone
+        key = []
+        pure = True
         for c in adj[v]:
             sub = below[c]
-            if sub is None:
+            if sub is not None:
+                below[c] = None
+                key.append(sub)
+                if sub.__class__ is not int:
+                    pure = False
+        if pure:
+            key = tuple(key)
+            hit = memo.get(key)
+            if hit is not None:
+                hit[2] += 1
+                below[v] = hit[0]
                 continue
-            below[c] = None
+        intern = len(states) < cap
+        out = {} if pure and intern else tally
+        top = lone
+        for sub in key:
+            if sub.__class__ is int:
+                sub = states[sub]
             grown = dict(top)
             for s, a in top.items():
                 room = k - size[s]
@@ -73,20 +129,33 @@ def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]
                         continue
                     j = joins.get(r)
                     if j is None:
-                        key = tuple(sorted(kids[s] + (r,)))
-                        j = ids.get(key)
+                        shape = tuple(sorted(kids[s] + (r,)))
+                        j = ids.get(shape)
                         if j is None:
-                            j = ids[key] = len(kids)
-                            kids.append(key)
+                            j = ids[shape] = len(kids)
+                            kids.append(shape)
                             size.append(size[s] + m)
                             join_of.append({})
                         joins[r] = j
                     if m == room:
-                        tally[j] = tally.get(j, 0) + a * b
+                        out[j] = out.get(j, 0) + a * b
                     else:
                         grown[j] = grown.get(j, 0) + a * b
             top = grown
-        below[v] = top
+        if intern:
+            content = frozenset(top.items())
+            sid = interned.get(content)
+            if sid is None:
+                sid = interned[content] = len(states)
+                states.append(top)
+            below[v] = sid
+            if pure:
+                memo[key] = [sid, out, 1]
+        else:
+            below[v] = top
+    for _, out, uses in memo.values():
+        for j, x in out.items():
+            tally[j] = tally.get(j, 0) + x * uses
     return tally, kids
 
 

@@ -271,8 +271,8 @@ def inducibility_lower_bound(
     if t.n < 2:
         raise ValueError("pattern must have at least 2 vertices")
     k = t.n
-    if not schedule or sorted(schedule) != list(schedule) or schedule[0] < 1:
-        raise ValueError("schedule must be increasing positive powers")
+    if not schedule or schedule[0] < 1 or any(a >= b for a, b in zip(schedule, schedule[1:])):
+        raise ValueError(f"schedule must be strictly increasing positive powers, got {list(schedule)}")
     catalog = enumerate_trees(k)
     N = catalog.count
     pattern = catalog.index_of[canonical_code(t)] - 1

@@ -369,6 +369,25 @@ class TestRegionScan:
         assert (code, out) == (2, "")
         assert err.startswith("treelab: error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("schedule", ["1,,2", "1,two", "1,2,"])
+    def test_inducibility_malformed_schedule_exits_two(self, tmp_path, capsys, schedule):
+        f = tmp_path / "t.json"
+        dump_tree(make_path(5), f)
+        code, out, err = run(capsys, "inducibility", "--tree", str(f), "--schedule", schedule)
+        assert (code, out) == (2, "")
+        assert err == ("treelab: error: --schedule wants comma-separated glue powers "
+                       f"such as 1,2,4, got {schedule!r}\n")
+
+    @pytest.mark.parametrize("schedule,shown", [("1,2,2", "[1, 2, 2]"), ("4,2", "[4, 2]"),
+                                                ("0,1", "[0, 1]")])
+    def test_inducibility_unordered_schedule_exits_two(self, tmp_path, capsys, schedule, shown):
+        f = tmp_path / "t.json"
+        dump_tree(make_path(5), f)
+        code, out, err = run(capsys, "inducibility", "--tree", str(f), "--schedule", schedule)
+        assert (code, out) == (2, "")
+        assert err == ("treelab: error: schedule must be strictly increasing positive powers, "
+                       f"got {shown}\n")
+
 
 class TestConfigPlumbing:
     def test_env_seed_reaches_gen(self, capsys, monkeypatch):

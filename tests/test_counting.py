@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_connected_subsets, induced_subtree, naive_copy_count, naive_window_census
+from treelab import counting
 from treelab.catalog import enumerate_trees
 from treelab.counting import (
     _window_tally,
@@ -20,6 +23,8 @@ from treelab.counting import (
     profile,
 )
 from treelab.generators import (
+    convex_glue,
+    glue_power,
     make_millipede,
     make_path,
     make_star,
@@ -95,6 +100,71 @@ class TestManyWindows:
     def test_copies_above_catalog_cap(self):
         # Shapes above the default catalog cap are counted without a catalog.
         assert _window_tally(make_path(20), 14) == {canonical_code(make_path(14)): 7}
+
+
+# Hosts small enough for the C(n, k) census at every k up to 8, most of
+# them repeating a few local shapes, so interned states are hit.
+REPEATING_HOSTS = {
+    "gluepower-path": glue_power(make_path(3), 3, 4),
+    "gluepower-star": glue_power(make_star(4), 2, 4),
+    "gluepower-fork": glue_power(Y_SHAPE, 2, 3),
+    "millipede-1": make_millipede(1, 6),
+    "millipede-2": make_millipede(2, 5),
+    "convex-path-star": convex_glue(make_path(3), make_star(4), 2, 1, 2, vertex_cap=20),
+    "convex-star-fork": convex_glue(make_star(3), Y_SHAPE, 2, 1, 3, vertex_cap=22),
+    **{f"random-{seed}": random_tree(17, seed) for seed in (1, 2, 3)},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def census_of(name: str, k: int) -> dict[bytes, int]:
+    return naive_window_census(REPEATING_HOSTS[name], k)
+
+
+class TestInternedStates:
+    """The DP interns at most counting._INTERN_CAP states, on hosts of at
+    least counting._INTERN_MIN_N vertices; the counts must not depend on
+    either, and a cap of 0 or 1 runs the plain-dict path."""
+
+    @pytest.mark.parametrize("cap", [counting._INTERN_CAP, 0, 1])
+    @pytest.mark.parametrize("name", list(REPEATING_HOSTS))
+    def test_matches_naive_census(self, monkeypatch, name, cap):
+        monkeypatch.setattr(counting, "_INTERN_MIN_N", 1)
+        monkeypatch.setattr(counting, "_INTERN_CAP", cap)
+        for k in range(2, 9):
+            got, rec = record_as_census(REPEATING_HOSTS[name], k)
+            want = census_of(name, k)
+            assert got == want, (name, k)
+            assert rec.total == sum(want.values())
+
+    @pytest.mark.parametrize("t,k", [
+        (glue_power(make_tree(8, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7))), 8, 64), 8),
+        (convex_glue(make_path(12), make_star(9), 5, 1, 2, vertex_cap=3000), 5),
+        (make_millipede(3, 300), 7),
+        (random_tree(2000, 5), 6),
+    ], ids=["gluepower", "convex", "millipede", "random"])
+    def test_cap_does_not_change_large_hosts(self, monkeypatch, t, k):
+        # Periodic hosts repeat their states hundreds of times; the plain
+        # DP (cap 0) is the reference the oracle gates above pin down.
+        assert t.n >= counting._INTERN_MIN_N
+        want = count_all(t, k)
+        for cap in (0, 1, 3):
+            monkeypatch.setattr(counting, "_INTERN_CAP", cap)
+            assert count_all(t, k) == want, cap
+
+    def test_memory_bounded_by_cap(self):
+        # Measured peaks for count_all(random_tree(4000, seed), 8), seeds
+        # 1-3: 1.5-1.8 MB with the cap, 0.5-0.6 MB at cap 0, and 6.9-7.0 MB
+        # when every distinct state is interned.
+        t = random_tree(4000, 1)
+        want = count_all(t, 8)
+        tracemalloc.start()
+        try:
+            assert count_all(t, 8) == want
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
 
 def count_copies(pattern, host) -> int:

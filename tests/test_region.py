@@ -222,3 +222,8 @@ class TestInducibility:
     def test_cap_too_small(self):
         with pytest.raises(ValueError):
             inducibility_lower_bound(make_path(6), schedule=(8, 16), vertex_cap=20)
+
+    @pytest.mark.parametrize("schedule", [(), (0, 1), (1, 2, 2), (2, 1), (1, 1)])
+    def test_schedule_must_strictly_increase(self, schedule):
+        with pytest.raises(ValueError, match="strictly increasing positive powers"):
+            inducibility_lower_bound(make_path(5), schedule=schedule)
