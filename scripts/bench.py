@@ -27,6 +27,8 @@ Cases:
   run_suite_all_12    run_suite("all", 12), catalogs built cold
   catalog_cold_12     both catalogs (all trees, and max degree 3) for
                       n = 1..12, built cold
+  catalog_cold_14     enumerate_trees(14), built cold: the 3,159 classes on
+                      14 vertices and every smaller catalog they extend
   verify_cli_12       cli.main for `verify --max-n 12 --report os.devnull`:
                       catalogs, checks and report rendering
   count_all_k8_gluepower
@@ -64,6 +66,7 @@ CASES = {
     "run_suite_all_12": ("", 'run_suite("all", 12)'),
     "catalog_cold_12": ("", "[(enumerate_trees(n), enumerate_trees_bounded_degree(n, 3))"
                             " for n in range(1, 13)]"),
+    "catalog_cold_14": ("", "enumerate_trees(14)"),
     "verify_cli_12": ("", 'cli.main(["verify", "--max-n", "12", "--report", os.devnull])'),
     "count_all_k8_gluepower": ("t = glue_power(PATTERN, 8, 4096)", "count_all(t, 8)"),
     "inducibility_cli": ("", 'cli.main(["inducibility", "--tree", PATTERN_FILE, "--schedule",'

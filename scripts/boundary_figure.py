@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from treelab.config import DEFAULT_DECIMAL_PRECISION
+from treelab.config import DEFAULT_DECIMAL_PRECISION, DEFAULT_FIGURE_SAMPLES
 from treelab.counting import fraction_to_decimal
 from treelab.generators import make_millipede
 from treelab.region import emit_figure_data, projection_point
@@ -26,7 +26,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", help="target CSV path (default: stdout)")
     ap.add_argument("--d-max", type=int, default=8)
-    ap.add_argument("--samples", type=int, default=50)
+    ap.add_argument("--samples", type=int, default=DEFAULT_FIGURE_SAMPLES)
     ap.add_argument("--precision", type=int, default=DEFAULT_DECIMAL_PRECISION)
     ap.add_argument("--finite-lengths", default="5,10,20",
                     help="millipede lengths for the finite overlay; empty to skip")

@@ -6,7 +6,9 @@ this), so extending every catalog entry at every vertex and deduplicating by
 canonical code is exhaustive.  The published order puts the path first and
 the star second (for k <= 3 the two coincide and the star index aliases the
 path); all remaining entries follow in ascending canonical-code order, which
-makes catalog positions stable across runs and platforms.
+makes catalog positions stable across runs and platforms.  The path and the
+star are picked from the catalog's own classes by their degrees, so this
+module needs no tree constructors and sits below counting and generators.
 
 Every entry is checked once, when the catalog keeps it: it carries the Walk
 of that pass and the canonical code it was deduplicated by, so window
@@ -24,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .generators import make_path, make_star
-from .trees import Tree, _loaded, adjacency, adjacency_code, degrees
+from .trees import Tree, _loaded, adjacency, adjacency_code, degrees, max_degree
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,11 @@ def _classes(n: int, dmax: int | None) -> dict[bytes, Tree]:
 @lru_cache(maxsize=None)
 def _catalog(k: int) -> TreeCatalog:
     classes = _classes(k, None)
-    path_code = adjacency_code(adjacency(make_path(k)))
-    star_code = adjacency_code(adjacency(make_star(k)))
+    # The path is the one class of max degree <= 2, the star the one with a
+    # vertex of degree k-1; for k <= 3 they are the same class.
+    top = {c: max_degree(t) for c, t in classes.items()}
+    path_code = next(c for c, d in top.items() if d <= 2)
+    star_code = next(c for c, d in top.items() if d == k - 1)
     head = [path_code]
     if star_code != path_code:
         head.append(star_code)

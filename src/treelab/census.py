@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import catalog_count, enumerate_trees, enumerate_trees_bounded_degree
+from .config import DEFAULT_VERIFY_MAX_N, DEFAULT_WINDOW_SIZES
 from .counting import (
     count_connected_subsets,
     count_paths_fast,
@@ -429,8 +430,8 @@ def _lemma_checks_for(t: Tree, ks: tuple[int, ...]) -> list[VerificationReport]:
 
 def run_suite(
     suite: str = "all",
-    max_n: int = 11,
-    ks: tuple[int, ...] = (5, 6),
+    max_n: int = DEFAULT_VERIFY_MAX_N,
+    ks: tuple[int, ...] = DEFAULT_WINDOW_SIZES,
 ) -> list[VerificationReport]:
     """Run the verification checks over exhaustive small-tree corpora.
 

@@ -5,6 +5,11 @@ tree), gen (tree family constructors), verify (the exact check suites),
 region (figure data for the 5-profile plane), scan (sharper-fork-bound
 experiment), inducibility (gluing-based density floors).
 
+Settings come from flags alone: the global --max-k, --vertex-cap and
+--precision, whose defaults live in treelab.config, and the --seed of
+gen random and scan.  No shell variable and no settings file is read,
+so a run is a function of its argv and input files.
+
 Machine-readable output goes to --out or standard output; diagnostics go
 to standard error.  Exit codes: 0 success, 1 at least one verification
 check failed, 2 usage or input error.  Exact rationals are emitted as
@@ -23,7 +28,18 @@ from fractions import Fraction
 from . import __version__
 from .catalog import enumerate_trees
 from .census import VerificationReport, run_suite
-from .config import Config, resolve_config
+from .config import (
+    DEFAULT_DECIMAL_PRECISION,
+    DEFAULT_FIGURE_SAMPLES,
+    DEFAULT_MAX_K,
+    DEFAULT_SCAN_BUDGET,
+    DEFAULT_SCAN_MAX_N,
+    DEFAULT_SCHEDULE,
+    DEFAULT_SEED,
+    DEFAULT_VERIFY_MAX_N,
+    DEFAULT_VERTEX_CAP,
+    DEFAULT_WINDOW_SIZES,
+)
 from .counting import count_all, fraction_to_decimal
 from .generators import (
     VertexCapError,
@@ -95,24 +111,24 @@ def _jsonify_report(r: VerificationReport, digits: int) -> dict:
     return out
 
 
-def _check_catalog_cap(k: int, what: str, cfg: Config) -> None:
+def _check_catalog_cap(k: int, what: str, max_k: int) -> None:
     # Every command checks its largest catalog before it builds anything.
-    if k > cfg.max_k:
-        raise ValueError(f"{what} exceeds the catalog cap --max-k {cfg.max_k}")
+    if k > max_k:
+        raise ValueError(f"{what} exceeds the catalog cap --max-k {max_k}")
 
 
-def _cmd_enum(args, cfg: Config) -> int:
-    _check_catalog_cap(args.k, f"enum --k {args.k}", cfg)
+def _cmd_enum(args) -> int:
+    _check_catalog_cap(args.k, f"enum --k {args.k}", args.max_k)
     catalog = enumerate_trees(args.k)
     payload = [tree_to_json(t) for t in catalog.entries]
     _write_json(payload, args.out)
     return 0
 
 
-def _cmd_profile(args, cfg: Config) -> int:
-    _check_catalog_cap(args.k, f"profile --k {args.k}", cfg)
+def _cmd_profile(args) -> int:
+    _check_catalog_cap(args.k, f"profile --k {args.k}", args.max_k)
     t = load_tree(args.tree)
-    digits = cfg.decimal_precision
+    digits = args.decimal_precision
     record = count_all(t, args.k)
     pv = record.profile_vector(t.n)
     if args.format == "csv":
@@ -136,9 +152,9 @@ def _cmd_profile(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_gen(args, cfg: Config) -> int:
+def _cmd_gen(args) -> int:
     # Every family checks its projected size against the cap before building.
-    cap = cfg.vertex_cap
+    cap = args.vertex_cap
     if args.family == "path":
         check_vertex_cap(args.n, cap, "gen path")
         t = make_path(args.n)
@@ -167,40 +183,38 @@ def _cmd_gen(args, cfg: Config) -> int:
         t = convex_glue(a, b, args.k, args.alpha, args.beta, vertex_cap=cap)
     else:
         check_vertex_cap(args.n, cap, "gen random")
-        seed = args.local_seed if args.local_seed is not None else cfg.seed
-        t = random_tree(args.n, seed)
+        t = random_tree(args.n, args.seed)
     _write_output(json.dumps(tree_to_json(t)), args.out)
     return 0
 
 
-def _cmd_verify(args, cfg: Config) -> int:
-    _check_catalog_cap(args.max_n, f"verify --max-n {args.max_n}", cfg)
-    ks = (args.k,) if args.k is not None else (5, 6)
+def _cmd_verify(args) -> int:
+    _check_catalog_cap(args.max_n, f"verify --max-n {args.max_n}", args.max_k)
+    ks = (args.k,) if args.k is not None else DEFAULT_WINDOW_SIZES
     if args.suite != "census":  # only the window-bound checks build k-catalogs
-        _check_catalog_cap(max(ks), f"verify --k {max(ks)}", cfg)
+        _check_catalog_cap(max(ks), f"verify --k {max(ks)}", args.max_k)
     reports = run_suite(args.suite, args.max_n, ks)
-    payload = [_jsonify_report(r, cfg.decimal_precision) for r in reports]
+    payload = [_jsonify_report(r, args.decimal_precision) for r in reports]
     _write_json(payload, args.report)
     failed = sum(1 for r in reports if not r.holds)
     print(f"{len(reports)} checks, {failed} failed", file=sys.stderr)
     return 1 if failed else 0
 
 
-def _cmd_region(args, cfg: Config) -> int:
-    _write_output(emit_figure_data(args.d_max, args.samples, cfg.decimal_precision), args.out)
+def _cmd_region(args) -> int:
+    _write_output(emit_figure_data(args.d_max, args.samples, args.decimal_precision), args.out)
     return 0
 
 
-def _cmd_scan(args, cfg: Config) -> int:
-    _check_catalog_cap(args.max_n, f"scan --max-n {args.max_n}", cfg)
-    seed = args.local_seed if args.local_seed is not None else cfg.seed
-    report = conjecture_scan(args.max_n, seed, args.budget)
+def _cmd_scan(args) -> int:
+    _check_catalog_cap(args.max_n, f"scan --max-n {args.max_n}", args.max_k)
+    report = conjecture_scan(args.max_n, args.seed, args.budget)
     payload = {
         "max_value": report.max_value,
         "witness_code": report.witness_code,
         "witness": tree_to_json(report.witness),
         "examined": report.examined,
-        "seed": seed,
+        "seed": args.seed,
     }
     _write_json(payload, args.out)
     return 0
@@ -215,12 +229,12 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _cmd_inducibility(args, cfg: Config) -> int:
+def _cmd_inducibility(args) -> int:
     t = load_tree(args.tree)
-    _check_catalog_cap(t.n, f"inducibility --tree with {t.n} vertices", cfg)
-    schedule = (1, 2, 4, 8, 16) if args.schedule is None else _parse_schedule(args.schedule)
-    report = inducibility_lower_bound(t, schedule, cfg.vertex_cap)
-    digits = cfg.decimal_precision
+    _check_catalog_cap(t.n, f"inducibility --tree with {t.n} vertices", args.max_k)
+    schedule = DEFAULT_SCHEDULE if args.schedule is None else _parse_schedule(args.schedule)
+    report = inducibility_lower_bound(t, schedule, args.vertex_cap)
+    digits = args.decimal_precision
     payload = {
         "k": report.k,
         "schedule": list(report.schedule),
@@ -240,13 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
         "verification suites, and the 5-profile plane.",
     )
     parser.add_argument("--version", action="version", version=f"treelab {__version__}")
-    parser.add_argument("--config", metavar="FILE", help="key=value config file")
-    parser.add_argument("--max-k", type=int, dest="max_k", help="catalog size cap (default 12)")
-    parser.add_argument("--vertex-cap", type=int, dest="vertex_cap",
-                        help="vertex budget for constructions (default 1000000)")
+    parser.add_argument("--max-k", type=int, dest="max_k", default=DEFAULT_MAX_K,
+                        help="catalog size cap (default %(default)s)")
+    parser.add_argument("--vertex-cap", type=int, dest="vertex_cap", default=DEFAULT_VERTEX_CAP,
+                        help="vertex budget for constructions (default %(default)s)")
     parser.add_argument("--precision", type=int, dest="decimal_precision",
-                        help="significant digits for decimal output (default 12)")
-    parser.add_argument("--seed", type=int, help="global random seed (default 0)")
+                        default=DEFAULT_DECIMAL_PRECISION,
+                        help="significant digits for decimal output (default %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enum", help="list all k-vertex tree shapes in catalog order")
@@ -289,34 +303,36 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--beta", type=int, required=True)
     g = gensub.add_parser("random")
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--seed", type=int, dest="local_seed")
+    g.add_argument("--seed", type=int, default=DEFAULT_SEED)
     for g in gensub.choices.values():
         g.add_argument("--out")
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("verify", help="run the exact verification suites")
     p.add_argument("--suite", choices=("census", "lemmas", "all"), default="all")
-    p.add_argument("--max-n", type=int, dest="max_n", default=11)
-    p.add_argument("--k", type=int, help="restrict window-bound checks to one k (default 5 and 6)")
+    p.add_argument("--max-n", type=int, dest="max_n", default=DEFAULT_VERIFY_MAX_N)
+    p.add_argument("--k", type=int, help="restrict window-bound checks to one k "
+                   f"(default {' and '.join(map(str, DEFAULT_WINDOW_SIZES))})")
     p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("region", help="emit the 5-profile plane figure data as CSV")
     p.add_argument("--d-max", type=int, dest="d_max", default=8)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=int, default=DEFAULT_FIGURE_SAMPLES)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_region)
 
     p = sub.add_parser("scan", help="search for large Y - 9S - P values")
-    p.add_argument("--max-n", type=int, dest="max_n", default=10)
-    p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--seed", type=int, dest="local_seed")
+    p.add_argument("--max-n", type=int, dest="max_n", default=DEFAULT_SCAN_MAX_N)
+    p.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_scan)
 
     p = sub.add_parser("inducibility", help="gluing-based density floor for a pattern tree")
     p.add_argument("--tree", required=True)
-    p.add_argument("--schedule", help="comma-separated glue powers (default 1,2,4,8,16)")
+    p.add_argument("--schedule", help="comma-separated glue powers "
+                   f"(default {','.join(map(str, DEFAULT_SCHEDULE))})")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_inducibility)
 
@@ -326,15 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    flags = {
-        "max_k": args.max_k,
-        "vertex_cap": args.vertex_cap,
-        "decimal_precision": args.decimal_precision,
-        "seed": args.seed,
-    }
     try:
-        cfg = resolve_config(flags, config_path=args.config)
-        return args.fn(args, cfg)
+        if args.decimal_precision < 1:
+            raise ValueError(f"precision must be >= 1, got {args.decimal_precision}")
+        return args.fn(args)
     except (InvalidTreeError, VertexCapError, ValueError, OSError) as e:
         print(f"treelab: error: {e}", file=sys.stderr)
         return 2

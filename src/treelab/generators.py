@@ -4,7 +4,8 @@ Deterministic builders (paths, stars, millipedes), the leaf-to-leaf gluing
 operator and its iterated and convex-combination forms, and seeded random
 samplers.  All constructors emit labels in a fixed documented scheme so that
 two calls with equal arguments return identical Tree values, not merely
-isomorphic ones.
+isomorphic ones.  The convex-combination form sizes its copy counts with
+the counting engine, which this module sits above.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import random
 from fractions import Fraction
 
 from .config import DEFAULT_VERTEX_CAP
+from .counting import count_connected_subsets
 from .trees import Tree, degrees, leaves, lowest_leaf, make_tree
 
 
@@ -165,9 +167,6 @@ def _glued_pair_rate(t: Tree, k: int) -> int:
     that straddle one connector path; both are read off the two-copy glue:
     rate = total(t glued to t) - total(t).
     """
-    # Local import: counting pulls in catalog, which needs the builders above.
-    from .counting import count_connected_subsets
-
     anchor = lowest_leaf(t)
     doubled = glue(t, t, k, anchor, anchor)
     return count_connected_subsets(doubled, k) - count_connected_subsets(t, k)

@@ -22,7 +22,15 @@ from fractions import Fraction
 
 from .catalog import enumerate_trees
 from .census import VerificationReport, _describe
-from .config import DEFAULT_DECIMAL_PRECISION, DEFAULT_VERTEX_CAP
+from .config import (
+    DEFAULT_DECIMAL_PRECISION,
+    DEFAULT_FIGURE_SAMPLES,
+    DEFAULT_SCAN_BUDGET,
+    DEFAULT_SCAN_MAX_N,
+    DEFAULT_SCHEDULE,
+    DEFAULT_SEED,
+    DEFAULT_VERTEX_CAP,
+)
 from .counting import (
     count_all,
     count_paths_fast,
@@ -144,7 +152,7 @@ def inner_region(d_max: int) -> tuple[PlanePoint, ...]:
 
 def emit_figure_data(
     d_max: int,
-    samples: int = 50,
+    samples: int = DEFAULT_FIGURE_SAMPLES,
     precision: int = DEFAULT_DECIMAL_PRECISION,
 ) -> str:
     """The plane picture as CSV text: boundary line, inner polygon, limit points.
@@ -189,7 +197,11 @@ class ScanReport:
     examined: int
 
 
-def conjecture_scan(max_n: int = 10, seed: int = 0, budget: int = 200) -> ScanReport:
+def conjecture_scan(
+    max_n: int = DEFAULT_SCAN_MAX_N,
+    seed: int = DEFAULT_SEED,
+    budget: int = DEFAULT_SCAN_BUDGET,
+) -> ScanReport:
     """Hunt for trees with large Y - 9S - P.
 
     Exhaustive over all trees with up to max_n vertices, then `budget`
@@ -255,7 +267,7 @@ class InducibilityReport:
 
 def inducibility_lower_bound(
     t: Tree,
-    schedule: tuple[int, ...] = (1, 2, 4, 8, 16),
+    schedule: tuple[int, ...] = DEFAULT_SCHEDULE,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> InducibilityReport:
     """Estimate how dense t can remain in arbitrarily large trees.

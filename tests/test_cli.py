@@ -329,11 +329,10 @@ class TestRegionScan:
         assert err.count("\n") == 1
         assert not f.exists()
 
-    def test_precision_below_one_exits_two_before_any_work(self, capsys, monkeypatch):
+    def test_precision_below_one_exits_two_before_any_work(self, capsys):
         code, out, err = run(capsys, "--precision", "0", "verify", "--suite", "census")
         assert (code, out, err) == (2, "", "treelab: error: precision must be >= 1, got 0\n")
-        monkeypatch.setenv("TREELAB_DECIMAL_PRECISION", "0")
-        code, out, err = run(capsys, "scan", "--max-n", "3")
+        code, out, err = run(capsys, "--precision", "0", "scan", "--max-n", "3")
         assert (code, out, err) == (2, "", "treelab: error: precision must be >= 1, got 0\n")
 
     def test_scan_json(self, capsys):
@@ -390,37 +389,14 @@ class TestRegionScan:
 
 
 class TestConfigPlumbing:
-    def test_env_seed_reaches_gen(self, capsys, monkeypatch):
-        monkeypatch.setenv("TREELAB_SEED", "5")
-        _, out_env, _ = run(capsys, "gen", "random", "--n", "10")
-        monkeypatch.delenv("TREELAB_SEED")
-        _, out_flag, _ = run(capsys, "gen", "random", "--n", "10", "--seed", "5")
-        assert out_env == out_flag
-
-    def test_global_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("TREELAB_SEED", "5")
-        _, out, _ = run(capsys, "--seed", "7", "gen", "random", "--n", "10")
-        monkeypatch.delenv("TREELAB_SEED")
-        _, want, _ = run(capsys, "gen", "random", "--n", "10", "--seed", "7")
-        assert out == want
-
-    def test_config_file(self, tmp_path, capsys):
-        conf = tmp_path / "treelab.conf"
-        conf.write_text("decimal_precision = 4\n")
+    def test_precision_flag_reaches_profile(self, tmp_path, capsys):
         f = tmp_path / "t.txt"
         f.write_text("0 0 0 3\n")  # degree-3 center with one branch of length two
-        code, out, _ = run(capsys, "--config", str(conf), "profile",
-                           "--tree", str(f), "--k", "4")
+        code, out, _ = run(capsys, "--precision", "4", "profile", "--tree", str(f), "--k", "4")
         assert code == 0
         d = json.loads(out)
         assert d["coords_exact"] == ["2/3", "1/3"]
         assert d["coords"] == ["0.6667", "0.3333"]
-
-    def test_bad_config_file(self, tmp_path, capsys):
-        conf = tmp_path / "treelab.conf"
-        conf.write_text("nope = 1\n")
-        code, _, err = run(capsys, "--config", str(conf), "enum", "--k", "4")
-        assert code == 2
 
     def test_threads_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -428,13 +404,22 @@ class TestConfigPlumbing:
         assert e.value.code == 2
         assert "usage: treelab" in capsys.readouterr().err
 
-    def test_threads_config_key_removed(self, tmp_path, capsys):
+    def test_config_flag_removed(self, tmp_path, capsys):
         conf = tmp_path / "treelab.conf"
-        conf.write_text("threads = 2\n")
-        code, out, err = run(capsys, "--config", str(conf), "verify", "--max-n", "5")
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and "unknown config key 'threads'" in err
+        conf.write_text("decimal_precision = 4\n")
+        with pytest.raises(SystemExit) as e:
+            main(["--config", str(conf), "enum", "--k", "4"])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage: treelab" in captured.err
+
+    def test_global_seed_flag_removed(self, capsys):
+        # The seed is set on the subcommand that uses it: gen random --seed.
+        with pytest.raises(SystemExit) as e:
+            main(["--seed", "7", "gen", "random", "--n", "10"])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage: treelab" in captured.err
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as e:

@@ -1,97 +1,104 @@
+"""Settings come from flags alone.
+
+Each setting has one flag whose default is a constant in treelab.config;
+no TREELAB_* variable and no file is read, so a run is a function of its
+argv and input files.
+"""
+
 from __future__ import annotations
 
-from dataclasses import fields
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from treelab.config import (
-    Config,
-    config_from_environment,
-    parse_config_file,
-    resolve_config,
-)
+import treelab
+from treelab.cli import build_parser, main
+from treelab.generators import make_millipede
+from treelab.trees import dump_tree
+
+TREELAB_ENV = {
+    "TREELAB_MAX_K": "6",
+    "TREELAB_DECIMAL_PRECISION": "5",
+    "TREELAB_SEED": "3",
+    "TREELAB_VERTEX_CAP": "10",
+}
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestDefaults:
     def test_baseline(self):
-        cfg = resolve_config()
-        assert cfg.max_k == 12
-        assert cfg.vertex_cap == 1_000_000
-        assert cfg.decimal_precision == 12
-        assert cfg.seed == 0
+        parse = build_parser().parse_args
+        args = parse(["enum", "--k", "4"])
+        assert (args.max_k, args.vertex_cap, args.decimal_precision) == (12, 1_000_000, 12)
+        assert parse(["gen", "random", "--n", "3"]).seed == 0
+        assert parse(["scan"]).seed == 0
 
     def test_four_settable_fields(self):
-        assert [f.name for f in fields(Config)] == [
-            "max_k", "vertex_cap", "decimal_precision", "seed",
-        ]
-
-
-class TestFile:
-    def test_parse(self, tmp_path):
-        p = tmp_path / "treelab.conf"
-        p.write_text("# comment\nmax_k = 9\n\nvertex_cap=5000\n")
-        assert parse_config_file(p) == {"max_k": 9, "vertex_cap": 5000}
-
-    def test_unknown_key(self, tmp_path):
-        p = tmp_path / "bad.conf"
-        p.write_text("volume = 11\n")
-        with pytest.raises(ValueError):
-            parse_config_file(p)
-
-    def test_bad_value(self, tmp_path):
-        p = tmp_path / "bad.conf"
-        p.write_text("max_k = twelve\n")
-        with pytest.raises(ValueError):
-            parse_config_file(p)
-
-    def test_missing_separator(self, tmp_path):
-        p = tmp_path / "bad.conf"
-        p.write_text("max_k 9\n")
-        with pytest.raises(ValueError):
-            parse_config_file(p)
+        # Three global flags; the seed belongs to the subcommands that use it.
+        parse = build_parser().parse_args
+        settings = {"max_k", "vertex_cap", "decimal_precision", "seed"}
+        assert settings & vars(parse(["enum", "--k", "4"])).keys() == settings - {"seed"}
+        for argv in (["gen", "random", "--n", "3"], ["scan"]):
+            assert settings <= vars(parse(argv)).keys()
 
 
 class TestPrecedence:
-    def test_environment_beats_file(self, tmp_path):
-        p = tmp_path / "treelab.conf"
-        p.write_text("seed = 5\nmax_k = 9\n")
-        cfg = resolve_config(environ={"TREELAB_SEED": "8"}, config_path=p)
-        assert cfg.seed == 8
-        assert cfg.max_k == 9
+    def test_flags_beat_environment(self, capsys, monkeypatch):
+        # The environment is not a source: its cap neither blocks a default
+        # run nor loosens a flag.
+        monkeypatch.setenv("TREELAB_MAX_K", "4")
+        assert run(capsys, "enum", "--k", "5")[0] == 0
+        monkeypatch.setenv("TREELAB_MAX_K", "20")
+        code, out, err = run(capsys, "--max-k", "4", "enum", "--k", "5")
+        assert (code, out) == (2, "")
+        assert err == "treelab: error: enum --k 5 exceeds the catalog cap --max-k 4\n"
 
-    def test_flags_beat_environment(self):
-        cfg = resolve_config(
-            flags={"seed": 3}, environ={"TREELAB_SEED": "8", "TREELAB_MAX_K": "9"}
-        )
-        assert cfg.seed == 3
-        assert cfg.max_k == 9
-
-    def test_none_flags_fall_through(self):
-        cfg = resolve_config(flags={"seed": None}, environ={"TREELAB_SEED": "4"})
-        assert cfg.seed == 4
-
-    def test_environment_parsing(self):
-        got = config_from_environment({"TREELAB_VERTEX_CAP": "123", "PATH": "/bin"})
-        assert got == {"vertex_cap": 123}
-
-    def test_environment_bad_value(self):
-        with pytest.raises(ValueError):
-            config_from_environment({"TREELAB_SEED": "many"})
-
-    def test_threads_is_not_read(self):
-        assert config_from_environment({"TREELAB_THREADS": "2"}) == {}
+    def test_environment_bad_value(self, capsys, monkeypatch):
+        # A value the environment channel used to reject is never read.
+        _, want, _ = run(capsys, "gen", "random", "--n", "10")
+        monkeypatch.setenv("TREELAB_SEED", "many")
+        monkeypatch.setenv("TREELAB_DECIMAL_PRECISION", "0")
+        assert run(capsys, "gen", "random", "--n", "10") == (0, want, "")
 
 
 class TestPrecision:
-    @pytest.mark.parametrize("source", ["flag", "environment", "file"])
-    def test_below_one_rejected_from_any_source(self, tmp_path, source):
-        p = tmp_path / "treelab.conf"
-        p.write_text("decimal_precision = 0\n" if source == "file" else "")
-        flags = {"decimal_precision": 0} if source == "flag" else {}
-        environ = {"TREELAB_DECIMAL_PRECISION": "0"} if source == "environment" else {}
-        with pytest.raises(ValueError, match=r"^precision must be >= 1, got 0$"):
-            resolve_config(flags, environ=environ, config_path=p)
+    @pytest.mark.parametrize("precision", ["0", "-3"])
+    def test_flag_below_one_exits_two(self, tmp_path, capsys, precision):
+        f = tmp_path / "t.json"
+        dump_tree(make_millipede(1, 4), f)
+        out_file = tmp_path / "out.csv"
+        want = f"treelab: error: precision must be >= 1, got {precision}\n"
+        for argv in (["profile", "--tree", str(f), "--k", "5", "--out", str(out_file)],
+                     ["region", "--out", str(out_file)],
+                     ["verify", "--suite", "census", "--report", str(out_file)],
+                     ["inducibility", "--tree", str(f), "--out", str(out_file)]):
+            assert run(capsys, f"--precision={precision}", *argv) == (2, "", want)
+            assert not out_file.exists()
 
-    def test_only_the_resolved_value_is_checked(self):
-        cfg = resolve_config({"decimal_precision": 1}, environ={"TREELAB_DECIMAL_PRECISION": "-3"})
-        assert cfg.decimal_precision == 1
+
+def _fresh_stdout(argv, extra_env) -> bytes:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("TREELAB_")}
+    env.update(extra_env)
+    src = str(Path(treelab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "treelab.cli", *argv],
+                          env=env, capture_output=True, timeout=600)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    return done.stdout
+
+
+def test_treelab_environment_is_ignored_in_a_fresh_interpreter(tmp_path):
+    f = tmp_path / "t.json"
+    dump_tree(make_millipede(2, 5), f)
+    for argv in (["verify", "--max-n", "8"],
+                 ["gen", "random", "--n", "30", "--seed", "4"],
+                 ["profile", "--tree", str(f), "--k", "5"]):
+        assert _fresh_stdout(argv, TREELAB_ENV) == _fresh_stdout(argv, {})
