@@ -31,6 +31,9 @@ Cases:
                       14 vertices and every smaller catalog they extend
   verify_cli_12       cli.main for `verify --max-n 12 --report os.devnull`:
                       catalogs, checks and report rendering
+  render_verify_12    the same call with run_suite replaced by the 5,323
+                      reports of run_suite("all", 12), computed untimed:
+                      report rendering and the write alone
   count_all_k8_gluepower
                       count_all(host, 8) on glue_power(PATTERN, 8, 4096), a
                       61,433-vertex chain of one 8-vertex pattern with
@@ -68,6 +71,8 @@ CASES = {
                             " for n in range(1, 13)]"),
     "catalog_cold_14": ("", "enumerate_trees(14)"),
     "verify_cli_12": ("", 'cli.main(["verify", "--max-n", "12", "--report", os.devnull])'),
+    "render_verify_12": ('reports = run_suite("all", 12); cli.run_suite = lambda *a: reports',
+                         'cli.main(["verify", "--max-n", "12", "--report", os.devnull])'),
     "count_all_k8_gluepower": ("t = glue_power(PATTERN, 8, 4096)", "count_all(t, 8)"),
     "inducibility_cli": ("", 'cli.main(["inducibility", "--tree", PATTERN_FILE, "--schedule",'
                              ' "1,4,16,64,256,1024,4096", "--out", os.devnull])'),

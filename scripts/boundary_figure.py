@@ -7,8 +7,11 @@ limit points themselves (m), and optionally a fourth series (finite) of
 actual projections of d-millipedes at several finite lengths, so the
 drift toward each limit point is visible in the same axes.
 
-Usage: boundary_figure.py --out figure.csv [--d-max 8] [--samples 50]
+Usage: boundary_figure.py --out figure.csv [--d-max D] [--samples N]
        [--finite-lengths 5,10,20]
+
+--d-max and --samples default to those of `treelab region`, whose CSV
+this script's output begins with.
 """
 
 from __future__ import annotations
@@ -16,7 +19,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from treelab.config import DEFAULT_DECIMAL_PRECISION, DEFAULT_FIGURE_SAMPLES
+from treelab.config import (
+    DEFAULT_DECIMAL_PRECISION,
+    DEFAULT_FIGURE_D_MAX,
+    DEFAULT_FIGURE_SAMPLES,
+)
 from treelab.counting import fraction_to_decimal
 from treelab.generators import make_millipede
 from treelab.region import emit_figure_data, projection_point
@@ -25,7 +32,7 @@ from treelab.region import emit_figure_data, projection_point
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", help="target CSV path (default: stdout)")
-    ap.add_argument("--d-max", type=int, default=8)
+    ap.add_argument("--d-max", type=int, default=DEFAULT_FIGURE_D_MAX)
     ap.add_argument("--samples", type=int, default=DEFAULT_FIGURE_SAMPLES)
     ap.add_argument("--precision", type=int, default=DEFAULT_DECIMAL_PRECISION)
     ap.add_argument("--finite-lengths", default="5,10,20",

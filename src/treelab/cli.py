@@ -14,22 +14,25 @@ Machine-readable output goes to --out or standard output; diagnostics go
 to standard error.  Exit codes: 0 success, 1 at least one verification
 check failed, 2 usage or input error.  Exact rationals are emitted as
 decimal strings alongside num/den forms so both CSV tooling and exact
-consumers are served.
+consumers are served.  JSON output is the text json.dumps(..., indent=2)
+gives; verify renders each report straight to that text, one string per
+report, and the tests pin it to json.dumps of the reports' dicts.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .catalog import enumerate_trees
 from .census import VerificationReport, run_suite
 from .config import (
     DEFAULT_DECIMAL_PRECISION,
+    DEFAULT_FIGURE_D_MAX,
     DEFAULT_FIGURE_SAMPLES,
     DEFAULT_MAX_K,
     DEFAULT_SCAN_BUDGET,
@@ -72,14 +75,10 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _write_json(payload, out: str | None) -> None:
-    # Indented JSON, the same text as json.dumps(payload, indent=2).
-    # json.dumps joins a list of every chunk, some 450k for a verify
-    # report; json.dump hands each chunk to a buffer as it goes, so peak
-    # memory stays near the text itself.  The text reaches stdout in one
-    # write: chunk by chunk it is much slower on an unbuffered stdout.
-    buf = io.StringIO()
-    json.dump(payload, buf, indent=2)
-    _write_output(buf.getvalue(), out)
+    # Indented JSON, the same text as json.dumps(payload, indent=2), for
+    # the small payloads of enum, profile, scan and inducibility; verify
+    # renders its reports itself (_report_text).
+    _write_output(json.dumps(payload, indent=2), out)
 
 
 def _jsonify_value(v, digits: int):
@@ -93,22 +92,51 @@ def _jsonify_value(v, digits: int):
     return v
 
 
-def _jsonify_report(r: VerificationReport, digits: int) -> dict:
-    out: dict = {
-        "check": r.check,
-        "inputs": r.inputs,
-        "lhs": _jsonify_value(r.lhs, digits),
-        "rhs": _jsonify_value(r.rhs, digits),
-        "holds": r.holds,
-        "slack": _jsonify_value(r.slack, digits),
-    }
+# verify writes thousands of reports.  With indent set, json.dumps runs
+# its pure-Python encoder, one chunk per token; these two functions
+# write the same text directly, one string per report, joined once.  The
+# tests pin it to json.dumps(..., indent=2) of the dicts the reports
+# stand for.
+def _value_text(v, digits: int, pad: str) -> str:
+    # v as JSON text; pad is the indentation of the line v starts on.
+    if type(v) is int:
+        return int.__repr__(v)
+    if type(v) is bool:
+        return "true" if v else "false"
+    if isinstance(v, VerificationReport):
+        return _report_text(v, digits, pad)
+    inner = pad + "  "
+    if isinstance(v, Fraction):
+        return (f'{{\n{inner}"decimal": {_quote(fraction_to_decimal(v, digits))},\n'
+                f'{inner}"exact": "{v.numerator}/{v.denominator}"\n{pad}}}')
+    if isinstance(v, (tuple, list)):
+        if not v:
+            return "[]"
+        items = f",\n{inner}".join(_value_text(x, digits, inner) for x in v)
+        return f"[\n{inner}{items}\n{pad}]"
+    return json.dumps(v)
+
+
+def _report_text(r: VerificationReport, digits: int, pad: str) -> str:
+    # Keys in the order check, inputs, lhs, rhs, holds, slack, then
+    # equality, note and parts when set.
+    inner = pad + "  "
+    fields = [
+        f'"check": {_quote(r.check)}',
+        f'"inputs": {_quote(r.inputs)}',
+        f'"lhs": {_value_text(r.lhs, digits, inner)}',
+        f'"rhs": {_value_text(r.rhs, digits, inner)}',
+        f'"holds": {_value_text(r.holds, digits, inner)}',
+        f'"slack": {_value_text(r.slack, digits, inner)}',
+    ]
     if r.equality is not None:
-        out["equality"] = r.equality
+        fields.append(f'"equality": {_value_text(r.equality, digits, inner)}')
     if r.note:
-        out["note"] = r.note
+        fields.append(f'"note": {_quote(r.note)}')
     if r.parts:
-        out["parts"] = [_jsonify_report(p, digits) for p in r.parts]
-    return out
+        fields.append(f'"parts": {_value_text(r.parts, digits, inner)}')
+    body = f",\n{inner}".join(fields)
+    return f"{{\n{inner}{body}\n{pad}}}"
 
 
 def _check_catalog_cap(k: int, what: str, max_k: int) -> None:
@@ -194,8 +222,7 @@ def _cmd_verify(args) -> int:
     if args.suite != "census":  # only the window-bound checks build k-catalogs
         _check_catalog_cap(max(ks), f"verify --k {max(ks)}", args.max_k)
     reports = run_suite(args.suite, args.max_n, ks)
-    payload = [_jsonify_report(r, args.decimal_precision) for r in reports]
-    _write_json(payload, args.report)
+    _write_output(_value_text(reports, args.decimal_precision, "") + "\n", args.report)
     failed = sum(1 for r in reports if not r.holds)
     print(f"{len(reports)} checks, {failed} failed", file=sys.stderr)
     return 1 if failed else 0
@@ -317,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("region", help="emit the 5-profile plane figure data as CSV")
-    p.add_argument("--d-max", type=int, dest="d_max", default=8)
+    p.add_argument("--d-max", type=int, dest="d_max", default=DEFAULT_FIGURE_D_MAX)
     p.add_argument("--samples", type=int, default=DEFAULT_FIGURE_SAMPLES)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_region)

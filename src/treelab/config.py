@@ -21,5 +21,6 @@ DEFAULT_VERIFY_MAX_N = 11               # verify --max-n, run_suite
 DEFAULT_WINDOW_SIZES = (5, 6)           # verify's window-bound k, run_suite
 DEFAULT_SCAN_MAX_N = 10                 # scan --max-n, conjecture_scan
 DEFAULT_SCAN_BUDGET = 200               # scan --budget, conjecture_scan
+DEFAULT_FIGURE_D_MAX = 8                # region --d-max, emit_figure_data
 DEFAULT_FIGURE_SAMPLES = 50             # region --samples, emit_figure_data
 DEFAULT_SCHEDULE = (1, 2, 4, 8, 16)     # inducibility --schedule, inducibility_lower_bound

@@ -24,6 +24,7 @@ from .catalog import enumerate_trees
 from .census import VerificationReport, _describe
 from .config import (
     DEFAULT_DECIMAL_PRECISION,
+    DEFAULT_FIGURE_D_MAX,
     DEFAULT_FIGURE_SAMPLES,
     DEFAULT_SCAN_BUDGET,
     DEFAULT_SCAN_MAX_N,
@@ -151,7 +152,7 @@ def inner_region(d_max: int) -> tuple[PlanePoint, ...]:
 
 
 def emit_figure_data(
-    d_max: int,
+    d_max: int = DEFAULT_FIGURE_D_MAX,
     samples: int = DEFAULT_FIGURE_SAMPLES,
     precision: int = DEFAULT_DECIMAL_PRECISION,
 ) -> str:

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's counting engine: the
 naive census tests every vertex subset for connectivity, the subset
 generator lists every window one by one, and both classify by canonical
 code, so agreement with the engine is meaningful evidence.  The
-automorphism count tries every vertex permutation.
+automorphism count tries every vertex permutation.  The report JSON
+oracle builds the dicts a verification report stands for, so that
+json.dumps(..., indent=2) of them is the text `treelab verify` must write.
 """
 
 from __future__ import annotations
@@ -12,10 +14,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
+from fractions import Fraction
+
 import pytest
 
 from treelab import catalog
 from treelab.catalog import enumerate_trees
+from treelab.census import VerificationReport
+from treelab.counting import fraction_to_decimal
 from treelab.generators import prufer_to_tree
 from treelab.trees import Tree, adjacency, canonical_code, make_tree
 
@@ -105,6 +111,39 @@ def prufer_class_count(n: int) -> int:
     for seq in itertools.product(range(n), repeat=n - 2):
         codes.add(canonical_code(prufer_to_tree(seq, n)))
     return len(codes)
+
+
+def jsonify_value(v, digits: int):
+    """A report value as JSON data: a Fraction becomes its decimal and
+    exact forms, a tuple a list; anything else is kept."""
+    if isinstance(v, Fraction):
+        return {
+            "decimal": fraction_to_decimal(v, digits),
+            "exact": f"{v.numerator}/{v.denominator}",
+        }
+    if isinstance(v, tuple):
+        return [jsonify_value(x, digits) for x in v]
+    return v
+
+
+def jsonify_report(r: VerificationReport, digits: int) -> dict:
+    """The dict a report stands for in `treelab verify` output; equality,
+    note and parts appear only when set."""
+    out: dict = {
+        "check": r.check,
+        "inputs": r.inputs,
+        "lhs": jsonify_value(r.lhs, digits),
+        "rhs": jsonify_value(r.rhs, digits),
+        "holds": r.holds,
+        "slack": jsonify_value(r.slack, digits),
+    }
+    if r.equality is not None:
+        out["equality"] = r.equality
+    if r.note:
+        out["note"] = r.note
+    if r.parts:
+        out["parts"] = [jsonify_report(p, digits) for p in r.parts]
+    return out
 
 
 def hosts_up_to(n: int) -> list[Tree]:

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import treelab
-from conftest import naive_window_census, prufer_class_count
+from conftest import jsonify_report, naive_window_census, prufer_class_count
 from treelab.catalog import (
     catalog_count,
     enumerate_trees,
@@ -41,7 +41,6 @@ from treelab.census import (
     is_one_millipede,
     run_suite,
 )
-from treelab.cli import _jsonify_report
 from treelab.counting import (
     count_all,
     count_connected_subsets,
@@ -288,7 +287,7 @@ def _fresh_verify_report(hash_seed: str) -> bytes:
 
 def test_criterion_12_determinism():
     reports = run_suite("all", max_n=11, ks=(5, 6))
-    here = (json.dumps([_jsonify_report(r, 12) for r in reports], indent=2) + "\n").encode()
+    here = (json.dumps([jsonify_report(r, 12) for r in reports], indent=2) + "\n").encode()
     fresh = [_fresh_verify_report(seed) for seed in ("0", "1")]
     ok = len(reports) > 0 and all(blob == here for blob in fresh)
     conclude(12, "suite reports byte-identical in this process and in fresh "

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import treelab
 import treelab.cli as cli_module
+from conftest import jsonify_report
 from treelab.catalog import enumerate_trees
 from treelab.census import VerificationReport, run_suite
 from treelab.cli import main
@@ -256,7 +263,7 @@ class TestWriteJson:
         assert path.read_bytes() == self.expected(self.PAYLOAD).encode()
 
     def test_verify_report(self, tmp_path, capsys):
-        payload = [cli_module._jsonify_report(r, 12) for r in run_suite("all", 7)]
+        payload = [jsonify_report(r, 12) for r in run_suite("all", 7)]
         code, out, _ = run(capsys, "verify", "--max-n", "7")
         assert (code, out) == (0, self.expected(payload))
         report = tmp_path / "report.json"
@@ -272,6 +279,50 @@ class TestWriteJson:
         code, out, _ = run(capsys, "enum", "--k", "7", "--out", str(path))
         assert (code, out) == (0, "")
         assert path.read_bytes() == self.expected(payload).encode()
+
+
+def _report(check="c", inputs="i", lhs=0, rhs=0, holds=True, slack=0, **rest):
+    return VerificationReport(check=check, inputs=inputs, lhs=lhs, rhs=rhs,
+                              holds=holds, slack=slack, **rest)
+
+
+# Every branch of verify's text renderer: parts two deep, each equality
+# value, empty and set notes, negative and whole Fractions, tuples down to
+# the empty one, and strings that JSON must escape.
+HAND_BUILT = [
+    _report(
+        check='quote " backslash \\ newline \n tab \t',
+        inputs="n=3 caf\u00e9 \u2603 \U0001d4af",
+        lhs=Fraction(-7, 3), rhs=Fraction(4), holds=False, slack=Fraction(19, 3),
+        equality=False, note='n\u00f6te with "quotes" and \\\n',
+        parts=(
+            _report(check="part", lhs=(1, (), (Fraction(-1, 8), -2)), rhs=(), equality=True,
+                    parts=(_report(check="leaf", inputs="\u00e9", lhs=Fraction(2, 3),
+                                   slack=-5, holds=False, note="deep"),)),
+            _report(check="plain", lhs=10**40, rhs=-(10**40), slack=0),
+        ),
+    ),
+    _report(),
+    _report(check="none", equality=None, note="", parts=()),
+]
+
+
+class TestVerifyText:
+    # verify renders each report to text itself; json.dumps of the
+    # reference dicts in conftest is the oracle for that text.
+    @pytest.mark.parametrize("precision", [1, 30])
+    def test_hand_built_reports(self, tmp_path, monkeypatch, capsys, precision):
+        monkeypatch.setattr(cli_module, "run_suite", lambda *a: HAND_BUILT)
+        want = json.dumps([jsonify_report(r, precision) for r in HAND_BUILT], indent=2) + "\n"
+        argv = ["--precision", str(precision), "verify", "--max-n", "5"]
+        assert run(capsys, *argv) == (1, want, "3 checks, 1 failed\n")
+        report = tmp_path / "report.json"
+        assert run(capsys, *argv, "--report", str(report)) == (1, "", "3 checks, 1 failed\n")
+        assert report.read_bytes() == want.encode()
+
+    def test_empty_suite(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli_module, "run_suite", lambda *a: [])
+        assert run(capsys, "verify") == (0, "[]\n", "0 checks, 0 failed\n")
 
 
 class TestCatalogCap:
@@ -334,6 +385,23 @@ class TestRegionScan:
         assert (code, out, err) == (2, "", "treelab: error: precision must be >= 1, got 0\n")
         code, out, err = run(capsys, "--precision", "0", "scan", "--max-n", "3")
         assert (code, out, err) == (2, "", "treelab: error: precision must be >= 1, got 0\n")
+
+    def test_boundary_figure_script_matches_region(self):
+        # Without the finite overlay, scripts/boundary_figure.py writes the
+        # figure CSV of `treelab region`; both run with their own defaults.
+        root = Path(__file__).resolve().parent.parent
+        src = str(Path(treelab.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        outs = []
+        for argv in ([str(root / "scripts" / "boundary_figure.py"), "--finite-lengths", ""],
+                     ["-m", "treelab.cli", "region"]):
+            done = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                                  timeout=600)
+            assert done.returncode == 0, done.stderr.decode(errors="replace")
+            outs.append(done.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].startswith(b"series,label,") and outs[0].count(b"\n") == 71
 
     def test_scan_json(self, capsys):
         code, out, _ = run(capsys, "scan", "--max-n", "7", "--budget", "10",
