@@ -41,6 +41,12 @@ Cases:
   inducibility_cli    cli.main for `inducibility` on that pattern, read from
                       its file, with schedule 1,4,...,4096 and --out
                       os.devnull: glue powers, counts and rendering
+  gen_convex_cli      cli.main for the `gen convex` that builds the convex
+                      host from the path and star, read from their files,
+                      with --out os.devnull: load, build and the JSON write
+  profile_convex_cli  cli.main for `profile --k 5` on the convex host, read
+                      from its file, with --out os.devnull: load, count and
+                      render
 """
 
 from __future__ import annotations
@@ -59,8 +65,8 @@ REPEAT = 5
 
 CONVEX = "convex_glue(make_path(40), make_star(40), 5, 1, 2, vertex_cap=250_000)"
 
-# name -> (setup, timed statement); HOST, RANDOM and PATTERN_FILE are input
-# file paths.
+# name -> (setup, timed statement); HOST, RANDOM, PATTERN_FILE, PATH_FILE
+# and STAR_FILE are input file paths.
 CASES = {
     "load_convex_host": ("", "load_tree(HOST)"),
     "count_all_k5_convex": ("t = load_tree(HOST)", "count_all(t, 5)"),
@@ -76,6 +82,10 @@ CASES = {
     "count_all_k8_gluepower": ("t = glue_power(PATTERN, 8, 4096)", "count_all(t, 8)"),
     "inducibility_cli": ("", 'cli.main(["inducibility", "--tree", PATTERN_FILE, "--schedule",'
                              ' "1,4,16,64,256,1024,4096", "--out", os.devnull])'),
+    "gen_convex_cli": ("", 'cli.main(["--vertex-cap", "250000", "gen", "convex", "--t", PATH_FILE,'
+                           ' "--s", STAR_FILE, "--k", "5", "--alpha", "1", "--beta", "2",'
+                           ' "--out", os.devnull])'),
+    "profile_convex_cli": ("", 'cli.main(["profile", "--tree", HOST, "--k", "5", "--out", os.devnull])'),
 }
 
 PRELUDE = """\
@@ -85,6 +95,7 @@ from treelab import cli, count_all, convex_glue, glue_power, make_path, make_sta
 from treelab.catalog import enumerate_trees, enumerate_trees_bounded_degree
 from treelab.trees import dump_tree, load_tree, make_tree
 HOST, RANDOM, PATTERN_FILE = {host!r}, {random!r}, {pattern!r}
+PATH_FILE, STAR_FILE = {path!r}, {star!r}
 PATTERN = make_tree(8, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)))
 """
 
@@ -142,10 +153,13 @@ def main() -> int:
         for i, (label, checkout) in enumerate(runs.items()):
             preludes[label] = PRELUDE.format(src=str(checkout / "src"), host=f"{work}/convex{i}.json",
                                              random=f"{work}/random{i}.json",
-                                             pattern=f"{work}/pattern{i}.json")
+                                             pattern=f"{work}/pattern{i}.json",
+                                             path=f"{work}/path{i}.json", star=f"{work}/star{i}.json")
             run_child(f"{preludes[label]}dump_tree({CONVEX}, HOST)\n"
                       "dump_tree(random_tree(20000, 1), RANDOM)\n"
-                      "dump_tree(PATTERN, PATTERN_FILE)\n")
+                      "dump_tree(PATTERN, PATTERN_FILE)\n"
+                      "dump_tree(make_path(40), PATH_FILE)\n"
+                      "dump_tree(make_star(40), STAR_FILE)\n")
         for name, (setup, stmt) in CASES.items():
             samples: dict[str, list[float]] = {label: [] for label in labels}
             for r in range(REPEAT):

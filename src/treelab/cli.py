@@ -16,12 +16,28 @@ check failed, 2 usage or input error.  Exact rationals are emitted as
 decimal strings alongside num/den forms so both CSV tooling and exact
 consumers are served.  JSON output is the text json.dumps(..., indent=2)
 gives; verify renders each report straight to that text, one string per
-report, and the tests pin it to json.dumps of the reports' dicts.
+report, and the tests pin it to json.dumps of the reports' dicts.  gen
+writes a tree through trees.tree_json_text.
+
+Python's cyclic garbage collector is off while a subcommand runs, and
+main restores the caller's setting on every way out.  A command builds
+hundreds of thousands of edge tuples, adjacency lists and window states,
+and the collector, run every few hundred allocations, walks the ones
+still alive again and again: on a 167,548-vertex host, 655 young and 4
+full collections took about a fifth of `profile`.  They free nothing:
+treelab's objects hold no reference cycles, so reference counting frees
+them all, and what a collection after a command finds unreachable is
+argparse's parser, the same few hundred objects on any host (the tests
+pin the count below 1,000).  This stays safe only while
+no treelab structure refers back to itself, through a parent pointer, a
+closure that captures its own container or a cache that holds its owner;
+code that adds one must break the cycle itself or collect.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -59,7 +75,7 @@ from .generators import (
     random_tree,
 )
 from .region import conjecture_scan, emit_figure_data, inducibility_lower_bound
-from .trees import InvalidTreeError, load_tree, lowest_leaf, tree_to_json
+from .trees import InvalidTreeError, load_tree, lowest_leaf, tree_json_text, tree_to_json
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -212,7 +228,7 @@ def _cmd_gen(args) -> int:
     else:
         check_vertex_cap(args.n, cap, "gen random")
         t = random_tree(args.n, args.seed)
-    _write_output(json.dumps(tree_to_json(t)), args.out)
+    _write_output(tree_json_text(t), args.out)
     return 0
 
 
@@ -369,6 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         if args.decimal_precision < 1:
             raise ValueError(f"precision must be >= 1, got {args.decimal_precision}")
@@ -376,6 +394,9 @@ def main(argv=None) -> int:
     except (InvalidTreeError, VertexCapError, ValueError, OSError) as e:
         print(f"treelab: error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

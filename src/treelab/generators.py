@@ -92,6 +92,11 @@ def glue(t: Tree, s: Tree, k: int, leaf_t: int, leaf_s: int) -> Tree:
         raise ValueError(f"window size must be >= 2, got k={k}")
     _require_leaf(t, leaf_t, "leaf_t")
     _require_leaf(s, leaf_s, "leaf_s")
+    return _join(t, s, k, leaf_t, leaf_s)
+
+
+def _join(t: Tree, s: Tree, k: int, leaf_t: int, leaf_s: int) -> Tree:
+    # glue without its checks, for a caller that knows both leaves are leaves.
     base_s = t.n
     base_c = t.n + s.n
     edges = list(t.edges)
@@ -120,15 +125,21 @@ def glue_power(t: Tree, k: int, power: int) -> Tree:
     one pass with a degree array and a lazy-deletion heap instead of
     re-scanning the accumulated tree.
     """
+    return _glue_power(t, k, power)[0]
+
+
+def _glue_power(t: Tree, k: int, power: int) -> tuple[Tree, int]:
+    # glue_power and the lowest leaf of its result, read off the heap, so
+    # convex_glue need not count the degrees of a large half again.
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
     if k < 2:
         raise ValueError(f"window size must be >= 2, got k={k}")
-    if power == 1:
-        return t
     t_deg = degrees(t)
     t_leaves = leaves(t)
     anchor = lowest_leaf(t)
+    if power == 1:
+        return t, anchor
     deg = list(t_deg)
     edges = list(t.edges)
     heap = list(t_leaves)
@@ -157,7 +168,10 @@ def glue_power(t: Tree, k: int, power: int) -> Tree:
         for v in t_leaves:
             if v != anchor:
                 heapq.heappush(heap, base_s + v)
-    return Tree(len(deg), tuple(edges))
+    # Every leaf is on the heap; entries above degree 1 are stale.
+    while deg[heap[0]] > 1:
+        heapq.heappop(heap)
+    return Tree(len(deg), tuple(edges)), heap[0]
 
 
 def _glued_pair_rate(t: Tree, k: int) -> int:
@@ -243,9 +257,9 @@ def convex_glue(
     the two input profiles as the vertex budget grows.
     """
     m_t, m_s = convex_glue_multiplicities(t, s, k, alpha, beta, vertex_cap=vertex_cap)
-    left = glue_power(t, k, m_t)
-    right = glue_power(s, k, m_s)
-    return glue(left, right, k, lowest_leaf(left), lowest_leaf(right))
+    left, leaf_left = _glue_power(t, k, m_t)
+    right, leaf_right = _glue_power(s, k, m_s)
+    return _join(left, right, k, leaf_left, leaf_right)
 
 
 def prufer_to_tree(sequence: list[int] | tuple[int, ...], n: int) -> Tree:

@@ -25,13 +25,17 @@ for large trees.
 File formats: the JSON form is ``{"n": <int>, "edges": [[u, v], ...]}``.  The
 compact text form is one line of n-1 whitespace-separated parent indices,
 vertex i attaching to p_i < i (an empty token list is the single vertex).
-Writers always emit JSON.
+Writers always emit JSON, and dump_tree and `treelab gen` both write it
+through tree_json_text: the text of json.dumps(tree_to_json(t)), made by
+one % format of a template with a "[%d, %d]" slot per edge instead of by
+building and encoding one list per edge.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 
@@ -250,6 +254,12 @@ def tree_to_json(t: Tree) -> dict:
     return {"n": t.n, "edges": [[u, v] for u, v in t.edges]}
 
 
+def tree_json_text(t: Tree) -> str:
+    """The JSON form of t as text, byte for byte json.dumps(tree_to_json(t))."""
+    edges = ", ".join(["[%d, %d]"] * len(t.edges)) % tuple(chain.from_iterable(t.edges))
+    return '{"n": %d, "edges": [%s]}' % (t.n, edges)
+
+
 def tree_from_json(obj) -> Tree:
     """Tree from the JSON form, checked strictly.
 
@@ -323,5 +333,4 @@ def load_tree(path) -> Tree:
 
 def dump_tree(t: Tree, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tree_to_json(t), fh)
-        fh.write("\n")
+        fh.write(tree_json_text(t) + "\n")

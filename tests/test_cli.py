@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -15,8 +16,16 @@ from conftest import jsonify_report
 from treelab.catalog import enumerate_trees
 from treelab.census import VerificationReport, run_suite
 from treelab.cli import main
-from treelab.generators import make_path
-from treelab.trees import dump_tree, load_tree, tree_to_json
+from treelab.generators import (
+    convex_glue,
+    glue,
+    glue_power,
+    make_millipede,
+    make_path,
+    make_star,
+    random_tree,
+)
+from treelab.trees import dump_tree, load_tree, make_tree, tree_to_json
 
 
 def run(capsys, *argv):
@@ -117,6 +126,33 @@ class TestGen:
             code, _, _ = run(capsys, "gen", family, *extra, "--out", str(target))
             assert code == 0
             assert load_tree(target).n == n
+
+    def test_output_is_json_dumps(self, tmp_path, capsys):
+        # Every family, on stdout and through --out: the text of
+        # json.dumps(tree_to_json(t)) and one newline.
+        a, b = make_path(6), make_star(5)
+        dump_tree(a, tmp_path / "a.json")
+        dump_tree(b, tmp_path / "b.json")
+        files = ["--t", str(tmp_path / "a.json"), "--s", str(tmp_path / "b.json")]
+        cases = [
+            (["path", "--n", "1"], make_path(1)),
+            (["path", "--n", "9"], make_path(9)),
+            (["star", "--n", "7"], make_star(7)),
+            (["millipede", "--d", "2", "--length", "4"], make_millipede(2, 4)),
+            (["glue", *files, "--k", "4"], glue(a, b, 4, 0, 1)),
+            (["glue", *files, "--k", "3", "--leaf-t", "5", "--leaf-s", "4"], glue(a, b, 3, 5, 4)),
+            (["gluepower", *files[:2], "--k", "3", "--power", "4"], glue_power(a, 3, 4)),
+            (["convex", *files, "--k", "4", "--alpha", "1", "--beta", "3"],
+             convex_glue(a, b, 4, 1, 3, vertex_cap=2_000)),
+            (["random", "--n", "15", "--seed", "3"], random_tree(15, 3)),
+        ]
+        for argv, t in cases:
+            want = json.dumps(tree_to_json(t)) + "\n"
+            cap = ["--vertex-cap", "2000"]
+            assert run(capsys, *cap, "gen", *argv) == (0, want, "")
+            target = tmp_path / "out.json"
+            assert run(capsys, *cap, "gen", *argv, "--out", str(target)) == (0, "", "")
+            assert target.read_text(encoding="utf-8") == want
 
     def test_glue_chain(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -323,6 +359,78 @@ class TestVerifyText:
     def test_empty_suite(self, monkeypatch, capsys):
         monkeypatch.setattr(cli_module, "run_suite", lambda *a: [])
         assert run(capsys, "verify") == (0, "[]\n", "0 checks, 0 failed\n")
+
+
+@pytest.fixture
+def gc_state():
+    # Leaves the collector as it found it, whatever the test does.
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.usefixtures("gc_state")
+class TestGcWindow:
+    def _failing_suite(self, *args):
+        return [VerificationReport(check="forced", inputs="x", lhs=1, rhs=0, holds=False, slack=-1)]
+
+    @pytest.mark.parametrize("argv, want", [
+        (["enum", "--k", "4"], 0),
+        (["verify", "--suite", "census", "--max-n", "4"], 1),
+        (["profile", "--tree", "no-such-file.json", "--k", "3"], 2),
+        (["--precision", "0", "region"], 2),
+    ])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_state_restored(self, monkeypatch, capsys, argv, want, enabled):
+        monkeypatch.setattr(cli_module, "run_suite", self._failing_suite)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        assert run(capsys, *argv)[0] == want
+        assert gc.isenabled() is enabled
+
+    def test_collector_off_while_command_runs(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli_module, "_cmd_enum", lambda args: seen.append(gc.isenabled()) or 0)
+        gc.enable()
+        assert run(capsys, "enum", "--k", "4")[0] == 0
+        assert seen == [False] and gc.isenabled()
+
+    def test_restored_when_command_raises(self, monkeypatch):
+        def boom(args):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli_module, "_cmd_enum", boom)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="unexpected"):
+            main(["enum", "--k", "4"])
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--tree", "{random}", "--k", "5"],
+        ["--vertex-cap", "20000", "gen", "convex", "--t", "{path}", "--s", "{star}", "--k", "5",
+         "--alpha", "1", "--beta", "2"],
+        ["inducibility", "--tree", "{pattern}", "--schedule", "1,4,16,64"],
+        ["verify", "--max-n", "9"],
+        ["scan", "--max-n", "9", "--budget", "200"],
+    ])
+    def test_commands_leave_no_cycles(self, tmp_path, capsys, argv):
+        # Why the collector may stay off: a command's own objects are freed
+        # by reference counting, so a collection afterwards finds only the
+        # argument parser's few hundred objects, on any host size.
+        files = {"random": random_tree(20_000, 1), "path": make_path(12), "star": make_star(12),
+                 "pattern": make_tree(8, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)))}
+        for name, t in files.items():
+            dump_tree(t, tmp_path / f"{name}.json")
+        argv = [a.format(**{name: str(tmp_path / f"{name}.json") for name in files}) for a in argv]
+        gc.collect()
+        gc.disable()  # else the first allocation after main returns collects
+        assert run(capsys, *argv)[0] == 0
+        assert gc.collect() < 1_000
 
 
 class TestCatalogCap:

@@ -217,6 +217,18 @@ class TestConvexGlue:
         checked_walk(g)
         assert g.n <= 3_000
 
+    def test_equals_glue_of_powers(self):
+        # label for label, the glue of the two glue powers at their
+        # lowest leaves, found here by counting degrees
+        cases = [(make_path(1), make_star(5), 2), (make_path(2), random_tree(7, 3), 3),
+                 (make_star(9), make_path(9), 5)]
+        cases += [(random_tree(9, seed), random_tree(6, seed + 1), 4) for seed in range(6)]
+        for t, s, k in cases:
+            m_t, m_s = convex_glue_multiplicities(t, s, k, 1, 3, vertex_cap=2_000)
+            left, right = glue_power(t, k, m_t), glue_power(s, k, m_s)
+            want = glue(left, right, k, lowest_leaf(left), lowest_leaf(right))
+            assert convex_glue(t, s, k, 1, 3, vertex_cap=2_000) == want
+
 
 class TestRandomTrees:
     def test_uniformity_over_shapes(self):

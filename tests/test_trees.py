@@ -9,7 +9,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import automorphism_count
@@ -33,6 +33,7 @@ from treelab.trees import (
     max_degree,
     parse_tree_text,
     tree_from_json,
+    tree_json_text,
     tree_to_json,
     validate,
 )
@@ -287,11 +288,14 @@ class TestSerialization:
         p = tmp_path / "t.json"
         dump_tree(t, p)
         assert load_tree(p) == t
+        assert p.read_text(encoding="utf-8") == json.dumps(tree_to_json(t)) + "\n"
 
     @settings(max_examples=40, deadline=None)
     @given(random_trees(14))
+    @example(make_tree(1, ()))
     def test_round_trip_property(self, t):
         assert tree_from_json(tree_to_json(t)) == t
+        assert tree_json_text(t) == json.dumps(tree_to_json(t))
 
     @pytest.mark.parametrize("obj, message", [
         ({"n": 3, "edges": None}, "'edges' must be a list"),
