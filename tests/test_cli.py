@@ -146,9 +146,9 @@ class TestGen:
              convex_glue(a, b, 4, 1, 3, vertex_cap=2_000)),
             (["random", "--n", "15", "--seed", "3"], random_tree(15, 3)),
         ]
+        cap = ["--vertex-cap", "2000"]
         for argv, t in cases:
             want = json.dumps(tree_to_json(t)) + "\n"
-            cap = ["--vertex-cap", "2000"]
             assert run(capsys, *cap, "gen", *argv) == (0, want, "")
             target = tmp_path / "out.json"
             assert run(capsys, *cap, "gen", *argv, "--out", str(target)) == (0, "", "")
