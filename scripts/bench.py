@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Time treelab layer by layer and record the medians in a BENCH JSON file.
 
-Each --run LABEL=PATH names a checkout to time.  Each case runs 5 times
+Each --run LABEL=PATH names a checkout to time.  Each case runs 11 times
 per checkout, every run in a fresh interpreter against that checkout's
 src: the run builds its inputs untimed, then times one call with
 time.perf_counter.  The samples of one case are interleaved: each repeat
 takes one sample per checkout, and the checkout that goes first rotates
 from repeat to repeat, so drift of the machine during a case falls on
-every checkout alike.  The medians and every sample go into the output
-file under each label, beside the checkout's git SHA (and whether its src
-differs from that commit), the Python version and nproc; other labels
-already in the file are kept.
+every checkout alike.  The medians, the quartiles and every sample go
+into the output file under each label, beside the checkout's git SHA
+(and whether its src differs from that commit), the Python version and
+nproc; other labels already in the file are kept.
 
 Usage, from the root of a checkout:
 
@@ -38,6 +38,9 @@ Cases:
                       count_all(host, 8) on glue_power(PATTERN, 8, 4096), a
                       61,433-vertex chain of one 8-vertex pattern with
                       degrees 4,2,2,2,1,1,1,1, built in memory
+  enum_cli_12         cli.main for `enum --k 12 --out os.devnull`: the 551
+                      trees of the 12-vertex catalog, built cold, and the
+                      JSON write
   inducibility_cli    cli.main for `inducibility` on that pattern, read from
                       its file, with schedule 1,4,...,4096 and --out
                       os.devnull: glue powers, counts and rendering
@@ -61,7 +64,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-REPEAT = 5
+REPEAT = 11
 
 CONVEX = "convex_glue(make_path(40), make_star(40), 5, 1, 2, vertex_cap=250_000)"
 
@@ -80,6 +83,7 @@ CASES = {
     "render_verify_12": ('reports = run_suite("all", 12); cli.run_suite = lambda *a: reports',
                          'cli.main(["verify", "--max-n", "12", "--report", os.devnull])'),
     "count_all_k8_gluepower": ("t = glue_power(PATTERN, 8, 4096)", "count_all(t, 8)"),
+    "enum_cli_12": ("", 'cli.main(["enum", "--k", "12", "--out", os.devnull])'),
     "inducibility_cli": ("", 'cli.main(["inducibility", "--tree", PATTERN_FILE, "--schedule",'
                              ' "1,4,16,64,256,1024,4096", "--out", os.devnull])'),
     "gen_convex_cli": ("", 'cli.main(["--vertex-cap", "250000", "gen", "convex", "--t", PATH_FILE,'
@@ -146,7 +150,8 @@ def main() -> int:
     runs = parse_runs(ap, args.run)
     labels = list(runs)
     entries = {label: {**git_state(checkout), "python": platform.python_version(),
-                       "nproc": os.cpu_count(), "repeat": REPEAT, "median_s": {}, "samples_s": {}}
+                       "nproc": os.cpu_count(), "repeat": REPEAT, "median_s": {},
+                       "quartiles_s": {}, "samples_s": {}}
                for label, checkout in runs.items()}
     with tempfile.TemporaryDirectory() as work:
         preludes = {}
@@ -169,6 +174,8 @@ def main() -> int:
             for label in labels:
                 median = round(statistics.median(samples[label]), 4)
                 entries[label]["median_s"][name] = median
+                q1, _, q3 = statistics.quantiles(samples[label], n=4)
+                entries[label]["quartiles_s"][name] = [round(q1, 4), round(q3, 4)]
                 entries[label]["samples_s"][name] = [round(x, 4) for x in samples[label]]
                 print(f"{label:>8} {name:22} median {median:.4f} s", flush=True)
     out = Path(args.out)

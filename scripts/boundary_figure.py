@@ -24,9 +24,8 @@ from treelab.config import (
     DEFAULT_FIGURE_D_MAX,
     DEFAULT_FIGURE_SAMPLES,
 )
-from treelab.counting import fraction_to_decimal
 from treelab.generators import make_millipede
-from treelab.region import emit_figure_data, projection_point
+from treelab.region import emit_figure_data, figure_row, projection_point
 
 
 def main():
@@ -44,13 +43,7 @@ def main():
     for d in range(0, args.d_max + 1):
         for length in lengths:
             p = projection_point(make_millipede(d, length))
-            parts.append(
-                f"finite,d{d}L{length},"
-                f"{fraction_to_decimal(p.x, args.precision)},"
-                f"{fraction_to_decimal(p.y, args.precision)},"
-                f"{p.x.numerator}/{p.x.denominator},"
-                f"{p.y.numerator}/{p.y.denominator}\n"
-            )
+            parts.append(figure_row("finite", f"d{d}L{length}", p, args.precision))
     text = "".join(parts)
 
     if args.out:

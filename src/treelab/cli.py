@@ -14,10 +14,10 @@ Machine-readable output goes to --out or standard output; diagnostics go
 to standard error.  Exit codes: 0 success, 1 at least one verification
 check failed, 2 usage or input error.  Exact rationals are emitted as
 decimal strings alongside num/den forms so both CSV tooling and exact
-consumers are served.  JSON output is the text json.dumps(..., indent=2)
-gives; verify renders each report straight to that text, one string per
-report, and the tests pin it to json.dumps of the reports' dicts.  gen
-writes a tree through trees.tree_json_text.
+consumers are served.  Every JSON payload is rendered by one writer,
+_value_text, as the text json.dumps(..., indent=2) gives, and the tests
+pin it to json.dumps of reference data.  gen writes a tree through
+trees.tree_json_text.
 
 Python's cyclic garbage collector is off while a subcommand runs, and
 main restores the caller's setting on every way out.  A command builds
@@ -79,40 +79,19 @@ from .trees import InvalidTreeError, load_tree, lowest_leaf, tree_json_text, tre
 
 
 def _write_output(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
-def _write_json(payload, out: str | None) -> None:
-    # Indented JSON, the same text as json.dumps(payload, indent=2), for
-    # the small payloads of enum, profile, scan and inducibility; verify
-    # renders its reports itself (_report_text).
-    _write_output(json.dumps(payload, indent=2), out)
-
-
-def _jsonify_value(v, digits: int):
-    if isinstance(v, Fraction):
-        return {
-            "decimal": fraction_to_decimal(v, digits),
-            "exact": f"{v.numerator}/{v.denominator}",
-        }
-    if isinstance(v, tuple):
-        return [_jsonify_value(x, digits) for x in v]
-    return v
-
-
-# verify writes thousands of reports.  With indent set, json.dumps runs
-# its pure-Python encoder, one chunk per token; these two functions
-# write the same text directly, one string per report, joined once.  The
-# tests pin it to json.dumps(..., indent=2) of the dicts the reports
-# stand for.
+# The one JSON writer of every command.  With indent set, json.dumps
+# runs its pure-Python encoder, one chunk per token; this writes the same
+# text directly, one string per value, and verify's thousands of reports
+# are joined once.  The tests pin it to json.dumps(..., indent=2).
 def _value_text(v, digits: int, pad: str) -> str:
     # v as JSON text; pad is the indentation of the line v starts on.
     if type(v) is int:
@@ -130,6 +109,14 @@ def _value_text(v, digits: int, pad: str) -> str:
             return "[]"
         items = f",\n{inner}".join(_value_text(x, digits, inner) for x in v)
         return f"[\n{inner}{items}\n{pad}]"
+    if type(v) is str:
+        return _quote(v)
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        items = f",\n{inner}".join(f"{_quote(key)}: {_value_text(x, digits, inner)}"
+                                    for key, x in v.items())
+        return f"{{\n{inner}{items}\n{pad}}}"
     return json.dumps(v)
 
 
@@ -165,7 +152,7 @@ def _cmd_enum(args) -> int:
     _check_catalog_cap(args.k, f"enum --k {args.k}", args.max_k)
     catalog = enumerate_trees(args.k)
     payload = [tree_to_json(t) for t in catalog.entries]
-    _write_json(payload, args.out)
+    _write_output(_value_text(payload, args.decimal_precision, ""), args.out)
     return 0
 
 
@@ -175,10 +162,11 @@ def _cmd_profile(args) -> int:
     digits = args.decimal_precision
     record = count_all(t, args.k)
     pv = record.profile_vector(t.n)
+    decimals = pv.decimals(digits)
     if args.format == "csv":
         lines = ["index,decimal,exact" + (",count" if args.counts else "")]
-        for i, c in enumerate(pv.coords, start=1):
-            row = f"{i},{fraction_to_decimal(c, digits)},{c.numerator}/{c.denominator}"
+        for i, (c, dec) in enumerate(zip(pv.coords, decimals), start=1):
+            row = f"{i},{dec},{c.numerator}/{c.denominator}"
             if args.counts:
                 row += f",{record.per_type[i - 1]}"
             lines.append(row)
@@ -186,13 +174,13 @@ def _cmd_profile(args) -> int:
     else:
         payload: dict = {
             "k": pv.k,
-            "coords": [fraction_to_decimal(c, digits) for c in pv.coords],
+            "coords": decimals,
             "coords_exact": [f"{c.numerator}/{c.denominator}" for c in pv.coords],
             "total": record.total,
         }
         if args.counts:
-            payload["per_type"] = list(record.per_type)
-        _write_json(payload, args.out)
+            payload["per_type"] = record.per_type
+        _write_output(_value_text(payload, digits, ""), args.out)
     return 0
 
 
@@ -238,7 +226,7 @@ def _cmd_verify(args) -> int:
     if args.suite != "census":  # only the window-bound checks build k-catalogs
         _check_catalog_cap(max(ks), f"verify --k {max(ks)}", args.max_k)
     reports = run_suite(args.suite, args.max_n, ks)
-    _write_output(_value_text(reports, args.decimal_precision, "") + "\n", args.report)
+    _write_output(_value_text(reports, args.decimal_precision, ""), args.report)
     failed = sum(1 for r in reports if not r.holds)
     print(f"{len(reports)} checks, {failed} failed", file=sys.stderr)
     return 1 if failed else 0
@@ -259,7 +247,7 @@ def _cmd_scan(args) -> int:
         "examined": report.examined,
         "seed": args.seed,
     }
-    _write_json(payload, args.out)
+    _write_output(_value_text(payload, args.decimal_precision, ""), args.out)
     return 0
 
 
@@ -277,16 +265,15 @@ def _cmd_inducibility(args) -> int:
     _check_catalog_cap(t.n, f"inducibility --tree with {t.n} vertices", args.max_k)
     schedule = DEFAULT_SCHEDULE if args.schedule is None else _parse_schedule(args.schedule)
     report = inducibility_lower_bound(t, schedule, args.vertex_cap)
-    digits = args.decimal_precision
     payload = {
         "k": report.k,
-        "schedule": list(report.schedule),
-        "sizes": list(report.sizes),
-        "observed": [_jsonify_value(x, digits) for x in report.observed],
-        "certified": [_jsonify_value(x, digits) for x in report.certified],
-        "best_certified": _jsonify_value(report.best_certified, digits),
+        "schedule": report.schedule,
+        "sizes": report.sizes,
+        "observed": report.observed,
+        "certified": report.certified,
+        "best_certified": report.best_certified,
     }
-    _write_json(payload, args.out)
+    _write_output(_value_text(payload, args.decimal_precision, ""), args.out)
     return 0
 
 

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import enumerate_trees
+from .config import DEFAULT_DECIMAL_PRECISION
 from .trees import Tree, adjacency_code, checked_walk, degrees
 
 
@@ -212,7 +213,7 @@ class ProfileVector:
     k: int
     coords: tuple[Fraction, ...]
 
-    def decimals(self, digits: int = 12) -> tuple[str, ...]:
+    def decimals(self, digits: int = DEFAULT_DECIMAL_PRECISION) -> tuple[str, ...]:
         return tuple(fraction_to_decimal(c, digits) for c in self.coords)
 
 
@@ -233,7 +234,7 @@ def profile(t: Tree, k: int) -> ProfileVector:
     return count_all(t, k).profile_vector(t.n)
 
 
-def fraction_to_decimal(value: Fraction, digits: int = 12) -> str:
+def fraction_to_decimal(value: Fraction, digits: int = DEFAULT_DECIMAL_PRECISION) -> str:
     """Fixed-point rendering with the given number of significant digits."""
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")

@@ -165,23 +165,23 @@ def emit_figure_data(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    rows: list[tuple[str, str, Fraction, Fraction]] = []
+    lines = ["series,label,x,y,x_exact,y_exact\n"]
     for i in range(samples + 1):
         x = Fraction(i, 2 * samples)
-        rows.append(("red", str(i), x, Fraction(1 - 2 * x, 37)))
+        lines.append(figure_row("red", str(i), PlanePoint(x, Fraction(1 - 2 * x, 37)), precision))
     for i, p in enumerate(inner_region(d_max)):
-        rows.append(("blue", str(i), p.x, p.y))
+        lines.append(figure_row("blue", str(i), p, precision))
     for d in range(d_max + 1):
-        p = m_point(d)
-        rows.append(("m", str(d), p.x, p.y))
-    lines = ["series,label,x,y,x_exact,y_exact\n"]
-    for series, label, x, y in rows:
-        lines.append(
-            f"{series},{label},{fraction_to_decimal(x, precision)},"
-            f"{fraction_to_decimal(y, precision)},{x.numerator}/{x.denominator},"
-            f"{y.numerator}/{y.denominator}\n"
-        )
+        lines.append(figure_row("m", str(d), m_point(d), precision))
     return "".join(lines)
+
+
+def figure_row(series: str, label: str, p: PlanePoint, precision: int) -> str:
+    """One line of the figure CSV: series, label, x and y with the given
+    number of significant digits, then x and y exact."""
+    return (f"{series},{label},{fraction_to_decimal(p.x, precision)},"
+            f"{fraction_to_decimal(p.y, precision)},{p.x.numerator}/{p.x.denominator},"
+            f"{p.y.numerator}/{p.y.denominator}\n")
 
 
 @dataclass(frozen=True)

@@ -327,7 +327,8 @@ def parse_tree_text(text: str) -> Tree:
 
 
 def load_tree(path) -> Tree:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte order mark, which some editors write.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_tree_text(fh.read())
 
 

@@ -12,10 +12,11 @@ import pytest
 
 import treelab
 import treelab.cli as cli_module
-from conftest import jsonify_report
+from conftest import jsonify_report, jsonify_value
 from treelab.catalog import enumerate_trees
 from treelab.census import VerificationReport, run_suite
 from treelab.cli import main
+from treelab.counting import fraction_to_decimal
 from treelab.generators import (
     convex_glue,
     glue,
@@ -25,6 +26,7 @@ from treelab.generators import (
     make_star,
     random_tree,
 )
+from treelab.region import inducibility_lower_bound, projection_point
 from treelab.trees import dump_tree, load_tree, make_tree, tree_to_json
 
 
@@ -281,21 +283,25 @@ class TestVerify:
 
 
 class TestWriteJson:
-    # _write_json writes the text json.dumps(payload, indent=2) renders,
-    # plus one newline, to stdout or to a file.
+    # Every command's JSON is the text json.dumps(payload, indent=2)
+    # renders, plus one newline, to stdout or to a file.
     PAYLOAD = [{"a": 1, "b": [1, -2.5, {"c": "x/y"}], "d": None, "e": True}, [], {}, "\u00e9"]
 
     @staticmethod
     def expected(payload) -> str:
         return json.dumps(payload, indent=2) + "\n"
 
+    @staticmethod
+    def write(payload, out) -> None:
+        cli_module._write_output(cli_module._value_text(payload, 12, ""), out)
+
     def test_stdout(self, capsys):
-        cli_module._write_json(self.PAYLOAD, None)
+        self.write(self.PAYLOAD, None)
         assert capsys.readouterr().out == self.expected(self.PAYLOAD)
 
     def test_file(self, tmp_path):
         path = tmp_path / "payload.json"
-        cli_module._write_json(self.PAYLOAD, str(path))
+        self.write(self.PAYLOAD, str(path))
         assert path.read_bytes() == self.expected(self.PAYLOAD).encode()
 
     def test_verify_report(self, tmp_path, capsys):
@@ -315,6 +321,24 @@ class TestWriteJson:
         code, out, _ = run(capsys, "enum", "--k", "7", "--out", str(path))
         assert (code, out) == (0, "")
         assert path.read_bytes() == self.expected(payload).encode()
+
+    @pytest.mark.parametrize("digits", [1, 30])
+    def test_inducibility(self, tmp_path, capsys, digits):
+        pattern = make_tree(8, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)))
+        report = inducibility_lower_bound(pattern, (1, 4, 16), 2000)
+        payload = {
+            "k": report.k,
+            "schedule": list(report.schedule),
+            "sizes": list(report.sizes),
+            "observed": [jsonify_value(x, digits) for x in report.observed],
+            "certified": [jsonify_value(x, digits) for x in report.certified],
+            "best_certified": jsonify_value(report.best_certified, digits),
+        }
+        f = tmp_path / "pattern.json"
+        dump_tree(pattern, f)
+        code, out, _ = run(capsys, "--precision", str(digits), "--vertex-cap", "2000",
+                           "inducibility", "--tree", str(f), "--schedule", "1,4,16")
+        assert (code, out) == (0, self.expected(payload))
 
 
 def _report(check="c", inputs="i", lhs=0, rhs=0, holds=True, slack=0, **rest):
@@ -497,19 +521,30 @@ class TestRegionScan:
     def test_boundary_figure_script_matches_region(self):
         # Without the finite overlay, scripts/boundary_figure.py writes the
         # figure CSV of `treelab region`; both run with their own defaults.
+        # With its default overlay it appends one row per d = 0..8 and
+        # length 5, 10 and 20, rendered here from each millipede's projection.
         root = Path(__file__).resolve().parent.parent
         src = str(Path(treelab.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        script = str(root / "scripts" / "boundary_figure.py")
         outs = []
-        for argv in ([str(root / "scripts" / "boundary_figure.py"), "--finite-lengths", ""],
-                     ["-m", "treelab.cli", "region"]):
+        for argv in ([script, "--finite-lengths", ""], ["-m", "treelab.cli", "region"], [script]):
             done = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
                                   timeout=600)
             assert done.returncode == 0, done.stderr.decode(errors="replace")
             outs.append(done.stdout)
         assert outs[0] == outs[1]
         assert outs[0].startswith(b"series,label,") and outs[0].count(b"\n") == 71
+        finite = []
+        for d in range(9):
+            for length in (5, 10, 20):
+                p = projection_point(make_millipede(d, length))
+                finite.append(f"finite,d{d}L{length},{fraction_to_decimal(p.x, 12)},"
+                              f"{fraction_to_decimal(p.y, 12)},{p.x.numerator}/{p.x.denominator},"
+                              f"{p.y.numerator}/{p.y.denominator}\n")
+        assert len(finite) == 27
+        assert outs[2] == outs[1] + "".join(finite).encode()
 
     def test_scan_json(self, capsys):
         code, out, _ = run(capsys, "scan", "--max-n", "7", "--budget", "10",

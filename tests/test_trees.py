@@ -283,6 +283,19 @@ class TestSerialization:
         with pytest.raises(InvalidTreeError, match="^bad tree JSON: "):
             parse_tree_text(text)
 
+    @pytest.mark.parametrize("text", ['{"n": 2, "edges": [[0, 1]]}', "0 1"])
+    def test_load_skips_a_byte_order_mark(self, tmp_path, text):
+        p = tmp_path / "t.txt"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_tree(p) == parse_tree_text(text)
+
+    def test_load_garbage_after_a_byte_order_mark_is_invalid(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes(b"\xef\xbb\xbfa b c")
+        with pytest.raises(InvalidTreeError,
+                           match="^compact tree form must be whitespace-separated integers$"):
+            load_tree(p)
+
     def test_file_round_trip(self, tmp_path):
         t = random_tree(11, 5)
         p = tmp_path / "t.json"
