@@ -50,6 +50,10 @@ Cases:
   profile_convex_cli  cli.main for `profile --k 5` on the convex host, read
                       from its file, with --out os.devnull: load, count and
                       render
+  canonical_code_path_20000
+                      adjacency_code of a 20,000-vertex path, its adjacency
+                      lists built untimed: the 40,000-byte code of a host
+                      whose subtree codes are as long as they get
 """
 
 from __future__ import annotations
@@ -90,6 +94,7 @@ CASES = {
                            ' "--s", STAR_FILE, "--k", "5", "--alpha", "1", "--beta", "2",'
                            ' "--out", os.devnull])'),
     "profile_convex_cli": ("", 'cli.main(["profile", "--tree", HOST, "--k", "5", "--out", os.devnull])'),
+    "canonical_code_path_20000": ("adj = adjacency(make_path(20000))", "adjacency_code(adj)"),
 }
 
 PRELUDE = """\
@@ -97,7 +102,7 @@ import os, sys, time
 sys.path.insert(0, {src!r})
 from treelab import cli, count_all, convex_glue, glue_power, make_path, make_star, random_tree, run_suite
 from treelab.catalog import enumerate_trees, enumerate_trees_bounded_degree
-from treelab.trees import dump_tree, load_tree, make_tree
+from treelab.trees import adjacency, adjacency_code, dump_tree, load_tree, make_tree
 HOST, RANDOM, PATTERN_FILE = {host!r}, {random!r}, {pattern!r}
 PATH_FILE, STAR_FILE = {path!r}, {star!r}
 PATTERN = make_tree(8, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)))

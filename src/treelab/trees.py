@@ -18,9 +18,11 @@ rooted at each endpoint of the central edge and the lexicographically smaller
 of the two rooted codes wins.  The rooted code of a vertex is
 ``b"(" + <child codes, sorted> + b")"``, so equal codes characterise
 isomorphism and byte-wise comparison gives a total order on isomorphism
-classes.  Codes are quadratic-size in the worst case (long paths) and are
-meant for small and moderate hosts; the counting engine never builds codes
-for large trees.
+classes.  The leaf peel that finds the center also builds the code, in one
+pass from the leaves in: a code is 2n bytes and building one takes memory
+linear in n, but joining child codes copies each byte once per ancestor,
+so the time is quadratic on long paths.  The counting engine never builds
+codes for large trees.
 
 File formats: the JSON form is ``{"n": <int>, "edges": [[u, v], ...]}``.  The
 compact text form is one line of n-1 whitespace-separated parent indices,
@@ -175,18 +177,24 @@ def lowest_leaf(t: Tree) -> int:
 
 def center(t: Tree) -> tuple[int, ...]:
     """The one or two middle vertices, found by peeling leaf layers."""
-    return _center(adjacency(t))
+    return _peel(adjacency(t))[1]
 
 
-def _center(adj: list[list[int]]) -> tuple[int, ...]:
+def _peel(adj: list[list[int]]) -> tuple[list[int], tuple[int, ...]]:
+    # Strip leaf layers until at most two vertices remain: the vertices
+    # stripped, outermost layer first, and the one or two left, the center.
+    # Rooted at the center, a vertex's children are its neighbours that
+    # were stripped before it.
     n = len(adj)
     if n <= 2:
-        return tuple(range(n))
+        return [], tuple(range(n))
     deg = [len(a) for a in adj]
     layer = [v for v in range(n) if deg[v] == 1]
+    peeled: list[int] = []
     remaining = n
     while remaining > 2:
         remaining -= len(layer)
+        peeled += layer
         nxt = []
         for v in layer:
             deg[v] = 0
@@ -196,7 +204,7 @@ def _center(adj: list[list[int]]) -> tuple[int, ...]:
                     if deg[w] == 1:
                         nxt.append(w)
         layer = nxt
-    return tuple(sorted(layer))
+    return peeled, tuple(sorted(layer))
 
 
 def canonical_code(t: Tree) -> bytes:
@@ -209,41 +217,31 @@ def canonical_code(t: Tree) -> bytes:
 
 def adjacency_code(adj: list[list[int]]) -> bytes:
     """canonical_code of the tree with these adjacency lists, unchecked:
-    for lists that treelab built itself and knows to describe a tree."""
-    c = _center(adj)
-    if len(c) == 1:
-        return _rooted_code(adj, c[0])
-    return min(_rooted_code(adj, c[0]), _rooted_code(adj, c[1]))
+    for lists that treelab built itself and knows to describe a tree.
+
+    One pass over the peel order codes each vertex from its children's
+    codes, which it takes out of the table, so the codes held at once
+    belong to disjoint subtrees.  A bicentral tree's two halves are joined
+    both ways and the smaller rooting is kept."""
+    peeled, middle = _peel(adj)
+    code: dict[int, bytes] = {}
+    pop = code.pop
+    for v in peeled:
+        code[v] = _node([pop(w) for w in adj[v] if w in code])
+    kids = [[pop(w) for w in adj[c] if w in code] for c in middle]
+    if len(kids) == 1:
+        return _node(kids[0])
+    a, b = kids
+    return min(_node(a + [_node(b)]), _node(b + [_node(a)]))
+
+
+def _node(kids: list[bytes]) -> bytes:
+    # The code of a vertex whose children have the codes kids.
+    return b"(" + b"".join(sorted(kids)) + b")"
 
 
 def is_isomorphic(a: Tree, b: Tree) -> bool:
     return a.n == b.n and canonical_code(a) == canonical_code(b)
-
-
-def bfs_order(adj: list[list[int]], root: int) -> tuple[list[int], list[int]]:
-    """Vertices of a tree in breadth-first order from root, and the parent
-    of each (root's parent is -1).  The walk tracks no visited set, so adj
-    must be a tree's adjacency."""
-    order = [root]
-    parent = [-2] * len(adj)
-    parent[root] = -1
-    for v in order:
-        pv = parent[v]
-        for w in adj[v]:
-            if w != pv:
-                parent[w] = v
-                order.append(w)
-    return order, parent
-
-
-def _rooted_code(adj: list[list[int]], root: int) -> bytes:
-    """Code of the tree rooted at root."""
-    order, parent = bfs_order(adj, root)
-    code: list[bytes] = [b""] * len(adj)
-    for v in reversed(order):
-        pv = parent[v]
-        code[v] = b"(" + b"".join(sorted(code[w] for w in adj[v] if w != pv)) + b")"
-    return code[root]
 
 
 # ---------------------------------------------------------------------------

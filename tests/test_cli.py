@@ -36,6 +36,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_python(*argv) -> subprocess.CompletedProcess:
+    """Run python with these arguments and this checkout's treelab first on
+    PYTHONPATH, capturing stdout and stderr as bytes."""
+    src = str(Path(treelab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, timeout=600)
+
+
+FIGURE_SCRIPT = str(Path(__file__).resolve().parent.parent / "scripts" / "boundary_figure.py")
+
+
 class TestEnum:
     def test_counts(self, capsys):
         code, out, _ = run(capsys, "enum", "--k", "6")
@@ -523,15 +535,10 @@ class TestRegionScan:
         # figure CSV of `treelab region`; both run with their own defaults.
         # With its default overlay it appends one row per d = 0..8 and
         # length 5, 10 and 20, rendered here from each millipede's projection.
-        root = Path(__file__).resolve().parent.parent
-        src = str(Path(treelab.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        script = str(root / "scripts" / "boundary_figure.py")
         outs = []
-        for argv in ([script, "--finite-lengths", ""], ["-m", "treelab.cli", "region"], [script]):
-            done = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
-                                  timeout=600)
+        for argv in ([FIGURE_SCRIPT, "--finite-lengths", ""], ["-m", "treelab.cli", "region"],
+                     [FIGURE_SCRIPT]):
+            done = run_python(*argv)
             assert done.returncode == 0, done.stderr.decode(errors="replace")
             outs.append(done.stdout)
         assert outs[0] == outs[1]
@@ -545,6 +552,20 @@ class TestRegionScan:
                               f"{p.y.numerator}/{p.y.denominator}\n")
         assert len(finite) == 27
         assert outs[2] == outs[1] + "".join(finite).encode()
+
+    @pytest.mark.parametrize("lengths, message", [
+        # make_millipede(0, 2) has 4 vertices, so no 5-vertex window.
+        ("2,7", "--finite-lengths entry '2' is below 3, so its d = 0 millipede"
+                " has no 5-vertex window"),
+        ("5,x", "--finite-lengths entry 'x' is not an integer"),
+    ])
+    def test_boundary_figure_script_rejects_bad_length(self, tmp_path, lengths, message):
+        target = tmp_path / "figure.csv"
+        for out in ([], ["--out", str(target)]):
+            done = run_python(FIGURE_SCRIPT, "--d-max", "3", "--finite-lengths", lengths, *out)
+            assert (done.returncode, done.stdout) == (2, b"")
+            assert done.stderr == f"boundary_figure.py: error: {message}\n".encode()
+        assert not target.exists()
 
     def test_scan_json(self, capsys):
         code, out, _ = run(capsys, "scan", "--max-n", "7", "--budget", "10",

@@ -12,14 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import automorphism_count
+from conftest import automorphism_count, reference_center, reference_code
 from treelab.catalog import enumerate_trees
 from treelab.generators import make_path, make_star, prufer_to_tree, random_tree
 from treelab.trees import (
     InvalidTreeError,
     Tree,
     adjacency,
-    bfs_order,
+    adjacency_code,
     canonical_code,
     center,
     checked_walk,
@@ -203,6 +203,65 @@ class TestCanonicalCode:
         assert not is_isomorphic(make_path(6), make_star(6))
         assert not is_isomorphic(make_path(5), make_path(6))
 
+    def test_long_path_code_memory(self):
+        # A code is 2n bytes; the codes held at once while one is built
+        # belong to disjoint subtrees, so the peak stays linear in n.
+        adj = adjacency(make_path(20_000))
+        tracemalloc.start()
+        try:
+            code = adjacency_code(adj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(code) == 40_000
+        assert peak < 8_000_000
+
+
+def twin(t: Tree, v: int) -> Tree:
+    """Two copies of t joined by an edge between the two copies of v:
+    bicentral, with that edge central, and both rootings coding alike."""
+    n = t.n
+    return Tree(2 * n, t.edges + tuple((a + n, b + n) for a, b in t.edges) + ((v, v + n),))
+
+
+class TestReferenceCode:
+    """canonical_code and center against the eccentricity oracle of
+    conftest, which shares no code with the leaf peel."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_trees(80))
+    @example(make_path(1))
+    @example(make_path(2))
+    @example(make_star(5))
+    def test_random_trees(self, t):
+        assert center(t) == reference_center(t)
+        assert canonical_code(t) == reference_code(t)
+
+    def test_catalog_entries(self):
+        for n in range(1, 11):
+            for t in enumerate_trees(n).entries:
+                copy = make_tree(t.n, t.edges)  # keeps no code, so one is built
+                assert center(copy) == reference_center(copy)
+                assert canonical_code(copy) == reference_code(copy)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_paths_and_stars(self, n):
+        for t in (make_path(n), make_star(n)):
+            assert center(t) == reference_center(t)
+            assert canonical_code(t) == reference_code(t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_trees(40), st.data())
+    def test_bicentral(self, t, data):
+        # A twin of any tree, and the same tree with one leaf added, which
+        # keeps the center bicentral only sometimes.
+        s = twin(t, data.draw(st.integers(0, t.n - 1)))
+        extended = Tree(s.n + 1, s.edges + ((data.draw(st.integers(0, s.n - 1)), s.n),))
+        assert len(reference_center(s)) == 2
+        for u in (s, extended):
+            assert center(u) == reference_center(u)
+            assert canonical_code(u) == reference_code(u)
+
 
 class TestAutomorphisms:
     """The brute-force automorphism count, on groups known in closed form,
@@ -335,23 +394,6 @@ class TestSerialization:
         obj["edges"][i][side] = data.draw(st.sampled_from([float(u), bool(u % 2), str(u), None]))
         with pytest.raises(InvalidTreeError, match=f"edge {i} "):
             tree_from_json(obj)
-
-
-class TestBfsOrder:
-    @settings(max_examples=60, deadline=None)
-    @given(random_trees(30), st.data())
-    def test_matches_visited_set_bfs(self, t, data):
-        adj = adjacency(t)
-        root = data.draw(st.integers(0, t.n - 1))
-        order, parent = [root], [-1] * t.n
-        seen = {root}
-        for v in order:
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = v
-                    order.append(w)
-        assert bfs_order(adj, root) == (order, parent)
 
 
 class TestCheckedWalk:
