@@ -52,8 +52,8 @@ Cases:
                       render
   canonical_code_path_20000
                       adjacency_code of a 20,000-vertex path, its adjacency
-                      lists built untimed: the 40,000-byte code of a host
-                      whose subtree codes are as long as they get
+                      lists built untimed: the shape whose subtree codes,
+                      joined at every vertex, are longest for its size
 """
 
 from __future__ import annotations

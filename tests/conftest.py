@@ -6,9 +6,10 @@ generator lists every window one by one, and both classify by canonical
 code, so agreement with the engine is meaningful evidence.  The
 automorphism count tries every vertex permutation.  The reference
 canonical code finds the centers by eccentricity and codes recursively,
-sharing nothing with the leaf peel that trees.adjacency_code runs.  The report JSON
-oracle builds the dicts a verification report stands for, so that
-json.dumps(..., indent=2) of them is the text `treelab verify` must write.
+sharing nothing with the leaf peel that trees.adjacency_code runs.  The
+report JSON oracle builds the dicts a verification report stands for, so
+that json.dumps(..., indent=2) of them is the text `treelab verify` must
+write.
 """
 
 from __future__ import annotations

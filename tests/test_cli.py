@@ -555,9 +555,9 @@ class TestRegionScan:
 
     @pytest.mark.parametrize("lengths, message", [
         # make_millipede(0, 2) has 4 vertices, so no 5-vertex window.
-        ("2,7", "--finite-lengths entry '2' is below 3, so its d = 0 millipede"
-                " has no 5-vertex window"),
-        ("5,x", "--finite-lengths entry 'x' is not an integer"),
+        pytest.param("2,7", "--finite-lengths entry '2' is below 3, so its d = 0 millipede"
+                            " has no 5-vertex window", id="below-3"),
+        pytest.param("5,x", "--finite-lengths entry 'x' is not an integer", id="not-integer"),
     ])
     def test_boundary_figure_script_rejects_bad_length(self, tmp_path, lengths, message):
         target = tmp_path / "figure.csv"
