@@ -43,7 +43,8 @@ Cases:
                       JSON write
   inducibility_cli    cli.main for `inducibility` on that pattern, read from
                       its file, with schedule 1,4,...,4096 and --out
-                      os.devnull: glue powers, counts and rendering
+                      os.devnull: copy-type counts of each glue power, which
+                      is not built, and rendering
   gen_convex_cli      cli.main for the `gen convex` that builds the convex
                       host from the path and star, read from their files,
                       with --out os.devnull: load, build and the JSON write

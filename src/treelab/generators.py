@@ -6,16 +6,32 @@ samplers.  All constructors emit labels in a fixed documented scheme so that
 two calls with equal arguments return identical Tree values, not merely
 isomorphic ones.  The convex-combination form sizes its copy counts with
 the counting engine, which this module sits above.
+
+Glue powers are also counted without being built.  In glue_power(t, k, p)
+every connector path has k-1 vertices, so no window of k vertices touches
+two copies of t, and none lies inside a connector alone: each window
+touches exactly one copy, and the windows touching a copy are those of t
+with a path of k-1 vertices hung from each leaf of that copy that carries
+a connector.  Each new copy is joined at its lowest leaf, the anchor, to
+the lowest free leaf of the chain, and copies are labelled in the order
+they join, so the free leaves are taken in label order: first the L
+leaves of the root copy, then the L-1 leaves other than the anchor of
+each later copy in turn.  A power therefore has at most four kinds of
+copy (the root, full copies, one partially filled copy, and copies
+joined by their anchor alone), and glue_power_counts counts each kind
+once and weighs it by how many copies are of that kind.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from fractions import Fraction
 
+from .catalog import enumerate_trees
 from .config import DEFAULT_VERTEX_CAP
-from .counting import count_connected_subsets
+from .counting import CountsRecord, count_all, count_connected_subsets
 from .trees import Tree, degrees, leaves, lowest_leaf, make_tree
 
 
@@ -172,6 +188,57 @@ def _glue_power(t: Tree, k: int, power: int) -> tuple[Tree, int]:
     while deg[heap[0]] > 1:
         heapq.heappop(heap)
     return Tree(len(deg), tuple(edges)), heap[0]
+
+
+def glue_power_counts(t: Tree, k: int, power: int) -> CountsRecord:
+    """count_all(glue_power(t, k, power), k), without building the power.
+
+    The sum over the kinds of copy described in the module notes: a copy
+    whose j lowest leaves carry a connector counts the windows of t with a
+    path of k-1 vertices hung from each of those leaves.  The cost does not
+    grow with the power.  t needs at least 2 vertices: a lone vertex would
+    carry two connectors, which the leaf slots do not describe.
+    """
+    if power < 1:
+        raise ValueError(f"power must be >= 1, got {power}")
+    if k < 2:
+        raise ValueError(f"window size must be >= 2, got k={k}")
+    if t.n < 2:
+        raise ValueError(f"glue_power_counts needs a pattern with at least 2 vertices, got {t.n}")
+    t_leaves = leaves(t)
+    slots = len(t_leaves)
+    # power-1 joins fill power-1 leaf slots: the root copy's first, then
+    # slots-1 per later copy, so `full` later copies fill all of theirs,
+    # at most one fills `part` of them, and the rest carry the anchor only.
+    joins = power - 1
+    root = min(slots, joins)
+    full, part = divmod(joins - root, slots - 1)
+    partial = 1 if part else 0
+    copies = Counter({root: 1})
+    copies[slots] += full
+    copies[1 + part] += partial
+    copies[1] += joins - full - partial
+    per_type = [0] * enumerate_trees(k).count
+    for used, times in copies.items():
+        if times:
+            record = count_all(_with_connectors(t, k, t_leaves[:used]), k)
+            for i, c in enumerate(record.per_type):
+                per_type[i] += c * times
+    return CountsRecord(k=k, per_type=tuple(per_type), total=sum(per_type))
+
+
+def _with_connectors(t: Tree, k: int, stubs: list[int]) -> Tree:
+    # t with a fresh path of k-1 vertices hung from each vertex in stubs:
+    # one copy of t and every vertex that a window touching it can reach.
+    edges = list(t.edges)
+    n = t.n
+    for x in stubs:
+        prev = x
+        for _ in range(k - 1):
+            edges.append((prev, n))
+            prev = n
+            n += 1
+    return Tree(n, tuple(edges))
 
 
 def _glued_pair_rate(t: Tree, k: int) -> int:

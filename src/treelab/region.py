@@ -33,13 +33,12 @@ from .config import (
     DEFAULT_VERTEX_CAP,
 )
 from .counting import (
-    count_all,
     count_paths_fast,
     count_stars_fast,
     count_y_fast,
     fraction_to_decimal,
 )
-from .generators import glue_power, glue_power_size, prufer_to_tree
+from .generators import glue_power_counts, glue_power_size, prufer_to_tree
 from .trees import Tree, canonical_code, max_degree
 
 @dataclass(frozen=True)
@@ -278,8 +277,11 @@ def inducibility_lower_bound(
     c(t, R)/Z_k(R) and the certified floor
     c(t, R) / (Z_k(R) + 2*k*N_k*D^(k-2)), valid for the limit because
     chaining copies of R adds at least c(t, R) pattern windows per block
-    and at most that junk per junction.  Schedule entries whose glue power
-    would exceed the vertex cap are skipped; at least the first must fit.
+    and at most that junk per junction.  The counts come from
+    glue_power_counts, which builds no glue power, so the cost does not
+    grow with the power.  The vertex cap is a budget only: schedule
+    entries whose glue power would have more vertices are skipped, and at
+    least the first must fit.
     """
     if t.n < 2:
         raise ValueError("pattern must have at least 2 vertices")
@@ -296,14 +298,14 @@ def inducibility_lower_bound(
     certified: list[Fraction] = []
     powers: list[int] = []
     for power in schedule:
-        if glue_power_size(t.n, k, power) > vertex_cap:
+        size = glue_power_size(t.n, k, power)
+        if size > vertex_cap:
             continue
-        r = glue_power(t, k, power)
-        record = count_all(r, k)
+        record = glue_power_counts(t, k, power)
         copies = record.per_type[pattern]
         z = record.total
         powers.append(power)
-        sizes.append(r.n)
+        sizes.append(size)
         observed.append(Fraction(copies, z))
         certified.append(Fraction(copies, z + junk_cap))
     if not powers:

@@ -176,15 +176,17 @@ def lowest_leaf(t: Tree) -> int:
 
 
 def center(t: Tree) -> tuple[int, ...]:
-    """The one or two middle vertices, found by peeling leaf layers."""
-    return _peel(adjacency(t))[1]
+    """The one or two middle vertices, found by peeling leaf layers.
+    Raises InvalidTreeError when t is not a tree."""
+    return _peel(checked_walk(t).adj)[1]
 
 
 def _peel(adj: list[list[int]]) -> tuple[list[int], tuple[int, ...]]:
     # Strip leaf layers until at most two vertices remain: the vertices
     # stripped, outermost layer first, and the one or two left, the center.
     # Rooted at the center, a vertex's children are its neighbours that
-    # were stripped before it.
+    # were stripped before it.  Lists with a cycle run out of leaves
+    # first, and the peel stops there.
     n = len(adj)
     if n <= 2:
         return [], tuple(range(n))
@@ -193,6 +195,8 @@ def _peel(adj: list[list[int]]) -> tuple[list[int], tuple[int, ...]]:
     peeled: list[int] = []
     remaining = n
     while remaining > 2:
+        if not layer:
+            raise InvalidTreeError(f"not a tree: no leaf left to peel among {remaining} vertices")
         remaining -= len(layer)
         peeled += layer
         nxt = []

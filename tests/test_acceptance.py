@@ -29,15 +29,17 @@ from treelab.catalog import (
 )
 from treelab.census import (
     PY_IDENTITY_EXCEPTIONS,
-    check_PY_identity,
-    check_P_formula_census,
+    _describe,
+    _leaf_balance,
+    _P_formula,
+    _PY_identity,
+    _Y_formula,
     check_Y_36S,
     check_Y_P4,
-    check_Y_formula_census,
-    check_leaf_balance,
     check_lemma_general,
     check_lemma_smalldeg,
     check_millipede_upper,
+    degree_type_census,
     is_one_millipede,
     run_suite,
 )
@@ -60,7 +62,7 @@ from treelab.generators import (
     random_tree_bounded_degree,
 )
 from treelab.region import PlanePoint, check_region_shadow, line_margin, m_point
-from treelab.trees import canonical_code, lowest_leaf, max_degree
+from treelab.trees import _loaded, canonical_code, lowest_leaf, max_degree
 
 
 def conclude(number: int, text: str, ok: bool) -> None:
@@ -133,27 +135,37 @@ def test_criterion_03_millipede_closed_forms():
     conclude(3, "millipede star/path/fork counts equal closed forms", ok)
 
 
+def _census_identity_reports(t):
+    # The four census checks of criterion 04 on one tree, from one census,
+    # one description and one count of P and Y, as run_suite shares them;
+    # tests/test_census.py covers the public check_* functions that count
+    # for each report alone.
+    inputs = _describe(t)
+    c = degree_type_census(t)
+    P = count_paths_fast(t, 5)
+    Y = count_y_fast(t)
+    return (_leaf_balance(inputs, c), _P_formula(inputs, c, P),
+            _Y_formula(inputs, c, Y), _PY_identity(inputs, c, P, Y))
+
+
 def test_criterion_04_census_identities():
     ok = True
     failing = set()
     for n in range(2, 15):
         for t in enumerate_trees_bounded_degree(n, 3):
-            if not (check_leaf_balance(t).holds
-                    and check_P_formula_census(t).holds
-                    and check_Y_formula_census(t).holds):
+            leaf, p_formula, y_formula, identity = _census_identity_reports(t)
+            if not (leaf.holds and p_formula.holds and y_formula.holds):
                 ok = False
-            if not check_PY_identity(t).holds:
+            if not identity.holds:
                 failing.add(canonical_code(t))
     # the combined linear identity has a known three-tree exception set;
     # the failure boundary must be exactly that set and nothing more
     ok = ok and failing == PY_IDENTITY_EXCEPTIONS
     rng = random.Random(4)
     for _ in range(10_000):
-        t = random_tree_bounded_degree(rng.randrange(15, 121), 3, rng)
-        if not (check_leaf_balance(t).holds
-                and check_P_formula_census(t).holds
-                and check_Y_formula_census(t).holds
-                and check_PY_identity(t).holds):
+        # Checked once, keeping its walk for the code and the path count.
+        t = _loaded(random_tree_bounded_degree(rng.randrange(15, 121), 3, rng))
+        if not all(r.holds for r in _census_identity_reports(t)):
             ok = False
     conclude(4, "census identities hold; exception set is exactly frozen", ok)
 

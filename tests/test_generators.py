@@ -14,6 +14,7 @@ from treelab.generators import (
     convex_glue_multiplicities,
     glue,
     glue_power,
+    glue_power_counts,
     glue_power_size,
     glue_size,
     make_millipede,
@@ -146,6 +147,60 @@ class TestGluePower:
     def test_path_power_is_path(self):
         g = glue_power(make_path(3), 4, 4)
         assert is_isomorphic(g, make_path(glue_power_size(3, 4, 4)))
+
+
+def _relabelled(t, rng):
+    perm = list(range(t.n))
+    rng.shuffle(perm)
+    return make_tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
+
+
+class TestGluePowerCounts:
+    """glue_power_counts against count_all on the built glue power."""
+
+    POWERS = tuple(range(1, 14)) + (40,)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_built_power_on_catalog(self, n):
+        for t in enumerate_trees(n).entries:
+            for p in self.POWERS:
+                assert glue_power_counts(t, n, p) == count_all(glue_power(t, n, p), n), (t, p)
+
+    def test_equals_built_power_on_relabelled_random_trees(self):
+        rng = random.Random(16)
+        for _ in range(300):
+            n = rng.randint(2, 10)
+            t = _relabelled(random_tree(n, rng.randrange(2**32)), rng)
+            k = rng.randint(2, 8)
+            p = rng.randint(1, 29)
+            assert glue_power_counts(t, k, p) == count_all(glue_power(t, k, p), k), (t, k, p)
+
+    @pytest.mark.parametrize("seed", [3, 8, 12])
+    def test_step_near_a_million_matches_small_powers(self, seed):
+        # Once the root copy is full, one more copy changes the counts by
+        # an amount that depends only on the phase of the power modulo
+        # L - 1, L the number of leaves.
+        t = random_tree(8, seed)
+        k = 6
+        step = len(leaves(t)) - 1
+        big = 10**6 + seed
+
+        def delta(counts_of, p):
+            a, b = counts_of(p), counts_of(p + 1)
+            return [y - x for x, y in zip(a.per_type, b.per_type)]
+
+        small = next(p for p in range(len(leaves(t)) + 1, 100) if p % step == big % step)
+        built = delta(lambda p: count_all(glue_power(t, k, p), k), small)
+        assert delta(lambda p: glue_power_counts(t, k, p), big) == built
+
+    def test_rejects_a_lone_vertex(self):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            glue_power_counts(make_path(1), 3, 2)
+
+    @pytest.mark.parametrize("k, p", [(1, 2), (3, 0)])
+    def test_rejects_bad_arguments(self, k, p):
+        with pytest.raises(ValueError):
+            glue_power_counts(make_path(4), k, p)
 
 
 class TestSandwich:

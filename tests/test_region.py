@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from treelab import generators
 from treelab.counting import count_all
 from treelab.generators import make_millipede, make_path, make_star, random_tree
 from treelab.region import (
@@ -214,6 +215,28 @@ class TestInducibility:
                                      vertex_cap=10**5)
         assert r.best_certified == max(r.certified)
         assert r.certified[-1] > r.certified[0]
+
+    def test_builds_no_glue_power(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("glue power built")
+
+        counted = []
+
+        def count(t, k):
+            counted.append(t.n)
+            return count_all(t, k)
+
+        t = make_tree(8, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)))
+        expected = inducibility_lower_bound(t, schedule=(1, 4, 64))
+        monkeypatch.setattr(generators, "glue_power", refuse)
+        monkeypatch.setattr(generators, "_glue_power", refuse)
+        monkeypatch.setattr(generators, "count_all", count)
+        r = inducibility_lower_bound(t, schedule=(1, 4, 64, 4096, 10**9))
+        assert r.schedule == (1, 4, 64, 4096)
+        assert r.sizes == (8, 53, 953, 61433)
+        assert (r.observed[:3], r.certified[:3]) == (expected.observed, expected.certified)
+        # One copy of the pattern with a connector path at each of its 4 leaves.
+        assert max(counted) <= 8 + 4 * 7
 
     def test_cap_filters_schedule(self):
         r = inducibility_lower_bound(make_path(6), schedule=(1, 2, 64), vertex_cap=200)

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import signal
 import tracemalloc
 from collections import Counter
 
@@ -177,6 +178,39 @@ class TestStructure:
 
     def test_center_star(self):
         assert center(make_star(7)) == (0,)
+
+
+class TestNotATree:
+    """center and the leaf peel stop on edge lists that are not trees.  An
+    earlier peel looped forever once no leaf was left, so each test runs
+    under an alarm (pytest-timeout is not a dependency)."""
+
+    CYCLES = [
+        Tree(4, ((0, 1), (1, 2), (2, 0))),
+        Tree(5, ((0, 1), (1, 2), (2, 3), (3, 1))),
+        Tree(4, ((0, 1), (1, 2), (2, 3), (3, 0))),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        def expire(signum, frame):
+            raise TimeoutError("the leaf peel did not stop within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(10)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("t", CYCLES)
+    def test_center_raises(self, t):
+        with pytest.raises(InvalidTreeError):
+            center(t)
+
+    @pytest.mark.parametrize("t", CYCLES)
+    def test_peel_stops_without_leaves(self, t):
+        with pytest.raises(InvalidTreeError, match="no leaf left to peel"):
+            adjacency_code(adjacency(t))
 
 
 class TestCanonicalCode:
