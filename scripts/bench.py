@@ -38,6 +38,7 @@ Cases:
                       count_all(host, 8) on glue_power(PATTERN, 8, 4096), a
                       61,433-vertex chain of one 8-vertex pattern with
                       degrees 4,2,2,2,1,1,1,1, built in memory
+  glue_power_4096     building that chain, glue_power(PATTERN, 8, 4096)
   enum_cli_12         cli.main for `enum --k 12 --out os.devnull`: the 551
                       trees of the 12-vertex catalog, built cold, and the
                       JSON write
@@ -88,6 +89,7 @@ CASES = {
     "render_verify_12": ('reports = run_suite("all", 12); cli.run_suite = lambda *a: reports',
                          'cli.main(["verify", "--max-n", "12", "--report", os.devnull])'),
     "count_all_k8_gluepower": ("t = glue_power(PATTERN, 8, 4096)", "count_all(t, 8)"),
+    "glue_power_4096": ("", "glue_power(PATTERN, 8, 4096)"),
     "enum_cli_12": ("", 'cli.main(["enum", "--k", "12", "--out", os.devnull])'),
     "inducibility_cli": ("", 'cli.main(["inducibility", "--tree", PATTERN_FILE, "--schedule",'
                              ' "1,4,16,64,256,1024,4096", "--out", os.devnull])'),

@@ -44,7 +44,7 @@ from .counting import (
     count_y_split,
 )
 from .generators import make_millipede, make_path, make_star
-from .trees import Tree, _loaded, adjacency, canonical_code, degrees, make_tree, max_degree
+from .trees import Tree, _loaded, canonical_code, checked_walk, make_tree, max_degree
 
 
 @dataclass(frozen=True)
@@ -110,13 +110,14 @@ def _bound_report(check: str, inputs: str, lhs, rhs, note: str = "") -> Verifica
 
 
 def degree_type_census(t: Tree) -> DegreeTypeCensus:
-    """Census of neighbor-degree types; needs max degree <= 3 and n >= 2."""
+    """Census of neighbor-degree types; needs max degree <= 3 and n >= 2.
+    Raises InvalidTreeError when t is not a tree."""
     if t.n < 2:
         raise ValueError("census needs at least 2 vertices")
-    deg = degrees(t)
+    adj = checked_walk(t).adj
+    deg = [len(nbrs) for nbrs in adj]
     if max(deg) > 3:
         raise ValueError(f"census undefined for max degree {max(deg)} > 3")
-    adj = adjacency(t)
     n_xyz: dict = {}
     n_xy: dict = {}
     n1 = n2 = n3 = 0

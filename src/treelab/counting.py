@@ -18,18 +18,19 @@ On hosts past a few dozen vertices the DP hash-conses its vertex states:
 the first few hundred distinct states are interned by content, and a
 vertex whose children's states are all interned reuses the result of the
 first vertex with the same child states, so its merges are done once per
-distinct key of child state ids.  Glue powers and the two-family mixture
-repeat a few local shapes thousands of times and cost little more than
-their distinct keys; a host whose states do not repeat fills the bounded
-table and merges plain dicts vertex by vertex, in memory bounded as
-before.
+distinct key of child state ids; the first few hundred keys are kept.
+Glue powers and the two-family mixture repeat a few local shapes
+thousands of times and cost little more than their distinct keys; a host
+whose states or keys do not repeat fills the bounded tables and merges
+vertex by vertex, in memory bounded as before.
 
 The DP and the path counter run leaf to root over the reverse of the
 tree's checked walk (trees.checked_walk): a host read from a file brings
 the adjacency lists and parent-before-child order its validation built,
 and a tree built in memory is validated once per call.  A vertex's done
 neighbours are its children, so no parent array is needed, and the shared
-lists are only read.
+lists are only read.  The star and fork counters read degrees off the
+same lists, so every counter rejects an invalid tree.
 
 All counts are exact big integers, all densities exact fractions; decimal
 strings are rendered only at the output boundary.
@@ -44,13 +45,14 @@ from fractions import Fraction
 
 from .catalog import enumerate_trees
 from .config import DEFAULT_DECIMAL_PRECISION
-from .trees import Tree, adjacency_code, checked_walk, degrees
+from .trees import Tree, adjacency_code, checked_walk
 
 
-# Most states _rooted_tally interns by content.  Past this many it keeps
-# new states as plain dicts, so a host whose states rarely repeat holds a
-# bounded table: interning every distinct state raised the tracemalloc peak
-# of count_all(random_tree(4000, 1), 8) from 1.5 to 6.9 MB.
+# Most states _rooted_tally interns by content, and most child-state keys
+# it memoises; past that, new states stay plain dicts and new keys are
+# merged afresh.  Interning every state raised the tracemalloc peak of
+# count_all(random_tree(4000, 1), 8) from 1.5 to 6.9 MB; memoising every
+# key kept 3,458 keys for random_tree(100000, 1) at k = 4.
 _INTERN_CAP = 256
 # Hosts with fewer vertices merge plain dicts only.  On them few states
 # repeat, and the interning made the DP 20-70% slower on random trees of
@@ -70,9 +72,10 @@ def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]
     states are interned by content, and a vertex whose children are all
     interned looks up the tuple of their ids: on a hit it reuses that key's
     result and bumps its use count, and each key's windows are tallied
-    once, times its use count, at the end.  So the cost grows with the
-    number of distinct child-state keys, not with n, on hosts that repeat
-    a few local shapes, such as glue powers.
+    once, times its use count, at the end; at most _INTERN_CAP keys are
+    kept.  So the cost grows with the number of distinct child-state keys,
+    not with n, on hosts that repeat a few local shapes, such as glue
+    powers.
     """
     if k < 1:
         raise ValueError(f"window size must be >= 1, got k={k}")
@@ -115,7 +118,8 @@ def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]
                 below[v] = hit[0]
                 continue
         intern = len(states) < cap
-        out = {} if pure and intern else tally
+        memoise = pure and intern and len(memo) < cap
+        out = {} if memoise else tally
         top = lone
         for sub in key:
             if sub.__class__ is int:
@@ -150,7 +154,7 @@ def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]
                 sid = interned[content] = len(states)
                 states.append(top)
             below[v] = sid
-            if pure:
+            if memoise:
                 memo[key] = [sid, out, 1]
         else:
             below[v] = top
@@ -300,7 +304,7 @@ def count_stars_fast(t: Tree, k: int) -> int:
         return t.n
     if k == 2:
         return t.n - 1
-    return sum(math.comb(d, k - 1) for d in degrees(t))
+    return sum(math.comb(len(nbrs), k - 1) for nbrs in checked_walk(t).adj)
 
 
 def _y_edge_term(da: int, db: int) -> int:
@@ -311,8 +315,8 @@ def _y_edge_term(da: int, db: int) -> int:
 
 def count_y_fast(t: Tree) -> int:
     """Number of 5-vertex fork windows (Y), summed edge by edge."""
-    deg = degrees(t)
-    return sum(_y_edge_term(deg[u], deg[v]) for u, v in t.edges)
+    adj = checked_walk(t).adj
+    return sum(_y_edge_term(len(adj[u]), len(adj[v])) for u, v in t.edges)
 
 
 def count_y_split(t: Tree) -> tuple[int, int]:
@@ -322,12 +326,13 @@ def count_y_split(t: Tree) -> tuple[int, int]:
     endpoint has degree at least 4, small otherwise.  The two parts sum to
     count_y_fast and feed the two halves of the 36S bound check.
     """
-    deg = degrees(t)
+    adj = checked_walk(t).adj
     small = 0
     large = 0
     for u, v in t.edges:
-        term = _y_edge_term(deg[u], deg[v])
-        if max(deg[u], deg[v]) >= 4:
+        du, dv = len(adj[u]), len(adj[v])
+        term = _y_edge_term(du, dv)
+        if max(du, dv) >= 4:
             large += term
         else:
             small += term

@@ -7,19 +7,24 @@ two calls with equal arguments return identical Tree values, not merely
 isomorphic ones.  The convex-combination form sizes its copy counts with
 the counting engine, which this module sits above.
 
-Glue powers are also counted without being built.  In glue_power(t, k, p)
-every connector path has k-1 vertices, so no window of k vertices touches
-two copies of t, and none lies inside a connector alone: each window
-touches exactly one copy, and the windows touching a copy are those of t
-with a path of k-1 vertices hung from each leaf of that copy that carries
-a connector.  Each new copy is joined at its lowest leaf, the anchor, to
-the lowest free leaf of the chain, and copies are labelled in the order
-they join, so the free leaves are taken in label order: first the L
-leaves of the root copy, then the L-1 leaves other than the anchor of
-each later copy in turn.  A power therefore has at most four kinds of
-copy (the root, full copies, one partially filled copy, and copies
-joined by their anchor alone), and glue_power_counts counts each kind
-once and weighs it by how many copies are of that kind.
+Glue powers are built and counted from one list of leaf slots: every
+vertex of t of degree at most 1, in label order, 2 - degree times, so a
+leaf is one slot and the lone vertex of a one-vertex tree two.  The first
+slot is the anchor.  glue_power(t, k, p) chains p copies of t, labelled in
+the order they join: each new copy is joined at its anchor, through a
+fresh path of k-1 connector vertices, to the lowest free slot of the
+chain.  So the slots are taken in a fixed order: first every slot of the
+root copy, then every slot but the anchor of each later copy in turn, and
+the chain is, label for label, the fold of glue() that joins the lowest
+leaves on both sides at every step.  Every connector path has k-1
+vertices, so no window of k vertices touches two copies of t, and none
+lies inside a connector alone: each window touches exactly one copy, and
+the windows touching a copy are those of t with a path of k-1 vertices
+hung from each of its slots that carries a connector.  A power therefore
+has at most four kinds of copy (the root, full copies, one partially
+filled copy, and copies joined by their anchor alone), and
+glue_power_counts counts each kind once and weighs it by how many copies
+are of that kind.
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ import heapq
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, count
 
 from .catalog import enumerate_trees
 from .config import DEFAULT_VERTEX_CAP
 from .counting import CountsRecord, count_all, count_connected_subsets
-from .trees import Tree, degrees, leaves, lowest_leaf, make_tree
+from .trees import Tree, checked_walk, degrees, make_tree
 
 
 class VertexCapError(ValueError):
@@ -108,21 +114,17 @@ def glue(t: Tree, s: Tree, k: int, leaf_t: int, leaf_s: int) -> Tree:
         raise ValueError(f"window size must be >= 2, got k={k}")
     _require_leaf(t, leaf_t, "leaf_t")
     _require_leaf(s, leaf_s, "leaf_s")
-    return _join(t, s, k, leaf_t, leaf_s)
-
-
-def _join(t: Tree, s: Tree, k: int, leaf_t: int, leaf_s: int) -> Tree:
-    # glue without its checks, for a caller that knows both leaves are leaves.
-    base_s = t.n
-    base_c = t.n + s.n
     edges = list(t.edges)
-    edges.extend((u + base_s, v + base_s) for u, v in s.edges)
-    prev = leaf_t
-    for i in range(k - 1):
-        edges.append((prev, base_c + i))
-        prev = base_c + i
-    edges.append((prev, base_s + leaf_s))
-    return Tree(base_c + k - 1, tuple(edges))
+    edges.extend((u + t.n, v + t.n) for u, v in s.edges)
+    _connect(edges, leaf_t, t.n + leaf_s, t.n + s.n, k)
+    return Tree(t.n + s.n + k - 1, tuple(edges))
+
+
+def _connect(edges: list[tuple[int, int]], x: int, y: int, first: int, k: int) -> None:
+    # Append the edges of a fresh path of k-1 vertices, first .. first+k-2,
+    # from x to y.
+    path = [x, *range(first, first + k - 1), y]
+    edges.extend(zip(path, path[1:]))
 
 
 def glue_size(n_t: int, n_s: int, k: int) -> int:
@@ -134,94 +136,70 @@ def glue_power_size(n_t: int, k: int, power: int) -> int:
 
 
 def glue_power(t: Tree, k: int, power: int) -> Tree:
-    """Iterate gluing power-1 times, always joining at the lowest leaves.
-
-    Equivalent, label for label, to folding glue() over copies of t with
-    the lowest-labelled leaf chosen on both sides at every step; built in
-    one pass with a degree array and a lazy-deletion heap instead of
-    re-scanning the accumulated tree.
+    """Chain power copies of t, each joined at its anchor to the lowest
+    free leaf slot of the chain, as the module notes describe: label for
+    label, the fold of glue() over copies of t that joins the lowest leaves
+    on both sides at every step.  Raises InvalidTreeError when t is not a
+    tree.
     """
-    return _glue_power(t, k, power)[0]
+    edges: list[tuple[int, int]] = []
+    _append_power(t, k, power, edges, 0)
+    return Tree(glue_power_size(t.n, k, power), tuple(edges))
 
 
-def _glue_power(t: Tree, k: int, power: int) -> tuple[Tree, int]:
-    # glue_power and the lowest leaf of its result, read off the heap, so
-    # convex_glue need not count the degrees of a large half again.
+def _leaf_slots(t: Tree) -> list[int]:
+    # The leaf slots of the module notes; the first is the anchor.
+    return [v for v, nbrs in enumerate(checked_walk(t).adj) for _ in range(2 - len(nbrs))]
+
+
+def _append_power(t: Tree, k: int, power: int, edges: list[tuple[int, int]], base: int) -> int:
+    # Append the edges of glue_power(t, k, power), every label shifted by
+    # base, and return the power's lowest free leaf slot.
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
     if k < 2:
         raise ValueError(f"window size must be >= 2, got k={k}")
-    t_deg = degrees(t)
-    t_leaves = leaves(t)
-    anchor = lowest_leaf(t)
-    if power == 1:
-        return t, anchor
-    deg = list(t_deg)
-    edges = list(t.edges)
-    heap = list(t_leaves)
-    for _ in range(power - 1):
-        while True:
-            x = heapq.heappop(heap)
-            if deg[x] <= 1:
-                break
-        base_s = len(deg)
-        edges.extend((u + base_s, v + base_s) for u, v in t.edges)
-        deg.extend(t_deg)
-        base_c = base_s + t.n
-        y = base_s + anchor
-        prev = x
-        for i in range(k - 1):
-            edges.append((prev, base_c + i))
-            prev = base_c + i
-        edges.append((prev, y))
-        deg[x] += 1
-        deg[y] += 1
-        deg.extend([2] * (k - 1))
-        if deg[x] <= 1:
-            heapq.heappush(heap, x)
-        if deg[y] <= 1:
-            heapq.heappush(heap, y)
-        for v in t_leaves:
-            if v != anchor:
-                heapq.heappush(heap, base_s + v)
-    # Every leaf is on the heap; entries above degree 1 are stale.
-    while deg[heap[0]] > 1:
-        heapq.heappop(heap)
-    return Tree(len(deg), tuple(edges)), heap[0]
+    slots = _leaf_slots(t)
+    step = t.n + k - 1  # a later copy and the connector after it
+    # The slots in the order the joins take them; a tree has at least two.
+    free = chain((base + v for v in slots),
+                 (b + v for b in count(base + t.n, step) for v in slots[1:]))
+    edges.extend((u + base, v + base) for u, v in t.edges)
+    for b in range(base + t.n, base + t.n + (power - 1) * step, step):
+        edges.extend((u + b, v + b) for u, v in t.edges)
+        _connect(edges, next(free), b + slots[0], b + t.n, k)
+    return next(free)
 
 
 def glue_power_counts(t: Tree, k: int, power: int) -> CountsRecord:
     """count_all(glue_power(t, k, power), k), without building the power.
 
     The sum over the kinds of copy described in the module notes: a copy
-    whose j lowest leaves carry a connector counts the windows of t with a
-    path of k-1 vertices hung from each of those leaves.  The cost does not
-    grow with the power.  t needs at least 2 vertices: a lone vertex would
-    carry two connectors, which the leaf slots do not describe.
+    whose first j leaf slots carry a connector counts the windows of t with
+    a path of k-1 vertices hung from each of those slots.  The cost does not
+    grow with the power.  Raises InvalidTreeError when t is not a tree.
     """
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
     if k < 2:
         raise ValueError(f"window size must be >= 2, got k={k}")
-    if t.n < 2:
-        raise ValueError(f"glue_power_counts needs a pattern with at least 2 vertices, got {t.n}")
-    t_leaves = leaves(t)
-    slots = len(t_leaves)
-    # power-1 joins fill power-1 leaf slots: the root copy's first, then
-    # slots-1 per later copy, so `full` later copies fill all of theirs,
-    # at most one fills `part` of them, and the rest carry the anchor only.
+    slots = _leaf_slots(t)
+    # power-1 joins fill power-1 slots: the root copy's first, then
+    # len(slots)-1 per later copy, so `full` later copies fill all of
+    # theirs, at most one fills `part` of them, and the rest carry the
+    # anchor only.
     joins = power - 1
-    root = min(slots, joins)
-    full, part = divmod(joins - root, slots - 1)
+    root = min(len(slots), joins)
+    full, part = divmod(joins - root, len(slots) - 1)
     partial = 1 if part else 0
     copies = Counter({root: 1})
-    copies[slots] += full
+    copies[len(slots)] += full
     copies[1 + part] += partial
     copies[1] += joins - full - partial
     per_type = [0] * enumerate_trees(k).count
     for used, times in copies.items():
         if times:
-            record = count_all(_with_connectors(t, k, t_leaves[:used]), k)
+            record = count_all(_with_connectors(t, k, slots[:used]), k)
             for i, c in enumerate(record.per_type):
                 per_type[i] += c * times
     return CountsRecord(k=k, per_type=tuple(per_type), total=sum(per_type))
@@ -245,12 +223,10 @@ def _glued_pair_rate(t: Tree, k: int) -> int:
     """Windows contributed per copy of t inside a long chain of copies.
 
     Each interior copy in a chain brings its own windows plus the windows
-    that straddle one connector path; both are read off the two-copy glue:
-    rate = total(t glued to t) - total(t).
+    that straddle one connector path; both are read off the two-copy glue
+    power: rate = total(glue_power(t, k, 2)) - total(t).
     """
-    anchor = lowest_leaf(t)
-    doubled = glue(t, t, k, anchor, anchor)
-    return count_connected_subsets(doubled, k) - count_connected_subsets(t, k)
+    return count_connected_subsets(glue_power(t, k, 2), k) - count_connected_subsets(t, k)
 
 
 def convex_glue_multiplicities(
@@ -324,9 +300,13 @@ def convex_glue(
     the two input profiles as the vertex budget grows.
     """
     m_t, m_s = convex_glue_multiplicities(t, s, k, alpha, beta, vertex_cap=vertex_cap)
-    left, leaf_left = _glue_power(t, k, m_t)
-    right, leaf_right = _glue_power(s, k, m_s)
-    return _join(left, right, k, leaf_left, leaf_right)
+    edges: list[tuple[int, int]] = []
+    leaf_left = _append_power(t, k, m_t, edges, 0)
+    base = glue_power_size(t.n, k, m_t)
+    leaf_right = _append_power(s, k, m_s, edges, base)
+    n = base + glue_power_size(s.n, k, m_s)
+    _connect(edges, leaf_left, leaf_right, n, k)
+    return Tree(n + k - 1, tuple(edges))
 
 
 def prufer_to_tree(sequence: list[int] | tuple[int, ...], n: int) -> Tree:

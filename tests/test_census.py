@@ -39,6 +39,14 @@ def bounded_trees(max_n: int):
 
 
 class TestCensus:
+    @pytest.mark.parametrize("check", [degree_type_census, check_leaf_balance])
+    @pytest.mark.parametrize("t", [
+        make_tree(4, ((0, 1), (1, 2), (2, 0))), make_tree(3, ((0, 5), (1, 2))),
+    ], ids=["cycle", "out-of-range"])
+    def test_rejects_what_is_not_a_tree(self, check, t):
+        with pytest.raises(trees.InvalidTreeError):
+            check(t)
+
     def test_path_counts(self):
         c = degree_type_census(make_path(6))
         assert c.n1 == 2 and c.n2 == 4 and c.n3 == 0

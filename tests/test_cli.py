@@ -226,14 +226,15 @@ class TestGen:
         assert err == "treelab: error: gen glue would use 16 vertices, cap is 15\n"
 
     def test_convex_checks_size_before_gluing(self, tmp_path, monkeypatch, capsys):
-        # convex_glue glues two copies of each input before its own cap
-        # check, so the command must reject a huge --k before calling it.
+        # convex_glue builds a two-copy glue power of each input before its
+        # own cap check, so the command must reject a huge --k before
+        # calling it.
         import treelab.generators
 
         def no_glue(*args, **kwargs):
             raise AssertionError("glued before the size check")
 
-        monkeypatch.setattr(treelab.generators, "glue", no_glue)
+        monkeypatch.setattr(treelab.generators, "_append_power", no_glue)
         a = tmp_path / "a.json"
         dump_tree(make_path(5), a)
         code, out, err = run(capsys, "--vertex-cap", "30", "gen", "convex",

@@ -31,7 +31,7 @@ from treelab.generators import (
     random_tree,
 )
 from treelab import trees
-from treelab.trees import canonical_code, dump_tree, load_tree, make_tree, max_degree
+from treelab.trees import InvalidTreeError, canonical_code, dump_tree, load_tree, make_tree, max_degree
 
 Y_SHAPE = make_tree(5, ((0, 1), (0, 2), (0, 3), (3, 4)))
 
@@ -102,6 +102,11 @@ class TestManyWindows:
         assert _window_tally(make_path(20), 14) == {canonical_code(make_path(14)): 7}
 
 
+# Edge lists that are not trees: a triangle beside a lone vertex, and an
+# edge to a label past the last vertex.
+NOT_TREES = [make_tree(4, ((0, 1), (1, 2), (2, 0))), make_tree(3, ((0, 5), (1, 2)))]
+
+
 # Hosts small enough for the C(n, k) census at every k up to 8, most of
 # them repeating a few local shapes, so interned states are hit.
 REPEATING_HOSTS = {
@@ -151,6 +156,16 @@ class TestInternedStates:
         for cap in (0, 1, 3):
             monkeypatch.setattr(counting, "_INTERN_CAP", cap)
             assert count_all(t, k) == want, cap
+
+    def test_keys_past_the_cap_are_tallied(self, monkeypatch):
+        # At k = 3 a state is the number of children, so this host has 5
+        # states but 35 distinct keys of child state ids: a cap of 16
+        # interns every state and memoises only the first 16 keys.
+        t = random_tree(300, 1)
+        monkeypatch.setattr(counting, "_INTERN_CAP", 0)
+        want = count_all(t, 3)
+        monkeypatch.setattr(counting, "_INTERN_CAP", 16)
+        assert count_all(t, 3) == want
 
     def test_memory_bounded_by_cap(self):
         # Measured peaks for count_all(random_tree(4000, seed), 8), seeds
@@ -269,6 +284,14 @@ class TestFastCounters:
         small, large = count_y_split(t)
         assert small >= 0 and large >= 0
         assert small + large == count_y_fast(t)
+
+    @pytest.mark.parametrize("count", [
+        lambda t: count_stars_fast(t, 3), count_y_fast, count_y_split, lambda t: count_all(t, 3),
+    ], ids=["stars", "y", "y-split", "engine"])
+    @pytest.mark.parametrize("t", NOT_TREES, ids=["cycle", "out-of-range"])
+    def test_reject_what_the_engine_rejects(self, count, t):
+        with pytest.raises(InvalidTreeError):
+            count(t)
 
 
 class TestInvariants:

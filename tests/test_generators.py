@@ -135,14 +135,16 @@ class TestGluePower:
             assert max_degree(g) == max(max_degree(t), 2)
 
     def test_equals_iterated_glue(self):
-        # the lowest-leaf self-gluing chain, label for label
-        for seed in (1, 5, 9):
-            t = random_tree(6, seed)
-            for k in (3, 5):
+        # the lowest-leaf self-gluing chain, label for label, past the
+        # leaves of the root copy; the lone vertex is joined twice
+        patterns = [random_tree(6, seed) for seed in (1, 5, 9)]
+        patterns += [make_star(4), make_star(7), make_path(2), make_path(1)]
+        for t in patterns:
+            for k in (2, 3, 5):
                 acc = t
-                for p in (2, 3, 4):
+                for p in range(2, 3 * len(leaves(t)) + 3):
                     acc = glue(acc, t, k, lowest_leaf(acc), lowest_leaf(t))
-                    assert glue_power(t, k, p) == acc
+                    assert glue_power(t, k, p) == acc, (t, k, p)
 
     def test_path_power_is_path(self):
         g = glue_power(make_path(3), 4, 4)
@@ -193,9 +195,13 @@ class TestGluePowerCounts:
         built = delta(lambda p: count_all(glue_power(t, k, p), k), small)
         assert delta(lambda p: glue_power_counts(t, k, p), big) == built
 
-    def test_rejects_a_lone_vertex(self):
-        with pytest.raises(ValueError, match="at least 2 vertices"):
-            glue_power_counts(make_path(1), 3, 2)
+    def test_equals_built_power_on_a_lone_vertex(self):
+        # the lone vertex is two leaf slots: the root copy takes two
+        # connectors, each later copy one more
+        t = make_path(1)
+        for k in range(2, 9):
+            for p in self.POWERS:
+                assert glue_power_counts(t, k, p) == count_all(glue_power(t, k, p), k), (k, p)
 
     @pytest.mark.parametrize("k, p", [(1, 2), (3, 0)])
     def test_rejects_bad_arguments(self, k, p):
@@ -276,7 +282,8 @@ class TestConvexGlue:
         # label for label, the glue of the two glue powers at their
         # lowest leaves, found here by counting degrees
         cases = [(make_path(1), make_star(5), 2), (make_path(2), random_tree(7, 3), 3),
-                 (make_star(9), make_path(9), 5)]
+                 (make_star(9), make_path(9), 5), (make_star(6), make_path(1), 3),
+                 (make_star(5), make_star(8), 4)]
         cases += [(random_tree(9, seed), random_tree(6, seed + 1), 4) for seed in range(6)]
         for t, s, k in cases:
             m_t, m_s = convex_glue_multiplicities(t, s, k, 1, 3, vertex_cap=2_000)

@@ -20,7 +20,7 @@ from treelab.region import (
     m_point,
     projection_point,
 )
-from treelab.trees import canonical_code, make_tree
+from treelab.trees import InvalidTreeError, canonical_code, make_tree
 
 
 def F(a, b=1):
@@ -80,6 +80,13 @@ class TestShadow:
         for t in hosts:
             r = check_region_shadow(t)
             assert r.holds
+
+    @pytest.mark.parametrize("t", [
+        make_tree(4, ((0, 1), (1, 2), (2, 0))), make_tree(3, ((0, 5), (1, 2))),
+    ], ids=["cycle", "out-of-range"])
+    def test_rejects_what_is_not_a_tree(self, t):
+        with pytest.raises(InvalidTreeError):
+            check_region_shadow(t)
 
     def test_tight_on_one_millipedes(self):
         # slack shrinks along the equality family as length grows
@@ -229,7 +236,7 @@ class TestInducibility:
         t = make_tree(8, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)))
         expected = inducibility_lower_bound(t, schedule=(1, 4, 64))
         monkeypatch.setattr(generators, "glue_power", refuse)
-        monkeypatch.setattr(generators, "_glue_power", refuse)
+        monkeypatch.setattr(generators, "_append_power", refuse)
         monkeypatch.setattr(generators, "count_all", count)
         r = inducibility_lower_bound(t, schedule=(1, 4, 64, 4096, 10**9))
         assert r.schedule == (1, 4, 64, 4096)
