@@ -23,6 +23,10 @@ Cases:
   count_all_k5_convex count_all(host, 5) on that host, loaded from its file
   count_all_k8_random count_all(host, 8) on random_tree(20000, 1), loaded
                       from its file
+  count_all_k4_random_100000
+                      count_all(host, 4) on random_tree(100000, 1), loaded
+                      from its file: a host whose child-state keys rarely
+                      repeat, so the DP's bounded memo misses often
   convex_glue         building that convex host in memory
   run_suite_all_12    run_suite("all", 12), catalogs built cold
   catalog_cold_12     both catalogs (all trees, and max degree 3) for
@@ -53,9 +57,10 @@ Cases:
                       from its file, with --out os.devnull: load, count and
                       render
   canonical_code_path_20000
-                      adjacency_code of a 20,000-vertex path, its adjacency
-                      lists built untimed: the shape whose subtree codes,
-                      joined at every vertex, are longest for its size
+                      adjacency_code of a 20,000-vertex path, its checked
+                      walk's adjacency lists built untimed: the shape whose
+                      subtree codes, joined at every vertex, are longest
+                      for its size
 """
 
 from __future__ import annotations
@@ -74,12 +79,13 @@ REPEAT = 11
 
 CONVEX = "convex_glue(make_path(40), make_star(40), 5, 1, 2, vertex_cap=250_000)"
 
-# name -> (setup, timed statement); HOST, RANDOM, PATTERN_FILE, PATH_FILE
-# and STAR_FILE are input file paths.
+# name -> (setup, timed statement); HOST, RANDOM, RANDOM_BIG, PATTERN_FILE,
+# PATH_FILE and STAR_FILE are input file paths.
 CASES = {
     "load_convex_host": ("", "load_tree(HOST)"),
     "count_all_k5_convex": ("t = load_tree(HOST)", "count_all(t, 5)"),
     "count_all_k8_random": ("t = load_tree(RANDOM)", "count_all(t, 8)"),
+    "count_all_k4_random_100000": ("t = load_tree(RANDOM_BIG)", "count_all(t, 4)"),
     "convex_glue": ("", CONVEX),
     "run_suite_all_12": ("", 'run_suite("all", 12)'),
     "catalog_cold_12": ("", "[(enumerate_trees(n), enumerate_trees_bounded_degree(n, 3))"
@@ -97,7 +103,7 @@ CASES = {
                            ' "--s", STAR_FILE, "--k", "5", "--alpha", "1", "--beta", "2",'
                            ' "--out", os.devnull])'),
     "profile_convex_cli": ("", 'cli.main(["profile", "--tree", HOST, "--k", "5", "--out", os.devnull])'),
-    "canonical_code_path_20000": ("adj = adjacency(make_path(20000))", "adjacency_code(adj)"),
+    "canonical_code_path_20000": ("adj = checked_walk(make_path(20000)).adj", "adjacency_code(adj)"),
 }
 
 PRELUDE = """\
@@ -105,8 +111,8 @@ import os, sys, time
 sys.path.insert(0, {src!r})
 from treelab import cli, count_all, convex_glue, glue_power, make_path, make_star, random_tree, run_suite
 from treelab.catalog import enumerate_trees, enumerate_trees_bounded_degree
-from treelab.trees import adjacency, adjacency_code, dump_tree, load_tree, make_tree
-HOST, RANDOM, PATTERN_FILE = {host!r}, {random!r}, {pattern!r}
+from treelab.trees import adjacency_code, checked_walk, dump_tree, load_tree, make_tree
+HOST, RANDOM, RANDOM_BIG, PATTERN_FILE = {host!r}, {random!r}, {random_big!r}, {pattern!r}
 PATH_FILE, STAR_FILE = {path!r}, {star!r}
 PATTERN = make_tree(8, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)))
 """
@@ -166,10 +172,12 @@ def main() -> int:
         for i, (label, checkout) in enumerate(runs.items()):
             preludes[label] = PRELUDE.format(src=str(checkout / "src"), host=f"{work}/convex{i}.json",
                                              random=f"{work}/random{i}.json",
+                                             random_big=f"{work}/random_big{i}.json",
                                              pattern=f"{work}/pattern{i}.json",
                                              path=f"{work}/path{i}.json", star=f"{work}/star{i}.json")
             run_child(f"{preludes[label]}dump_tree({CONVEX}, HOST)\n"
                       "dump_tree(random_tree(20000, 1), RANDOM)\n"
+                      "dump_tree(random_tree(100000, 1), RANDOM_BIG)\n"
                       "dump_tree(PATTERN, PATTERN_FILE)\n"
                       "dump_tree(make_path(40), PATH_FILE)\n"
                       "dump_tree(make_star(40), STAR_FILE)\n")

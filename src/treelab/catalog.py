@@ -13,7 +13,11 @@ module needs no tree constructors and sits below counting and generators.
 Every entry is checked once, when the catalog keeps it: it carries the Walk
 of that pass and the canonical code it was deduplicated by, so window
 counts and canonical_code on an entry neither revalidate nor recode it.
-A candidate that duplicates a kept class is dropped unchecked.
+A candidate is coded from a copy of its parent's kept Walk lists with the
+new leaf appended, and the parent's degrees are read off the same lists,
+so no adjacency is rebuilt from an edge tuple here.  Its Tree is built
+only when its code is new; a candidate that duplicates a kept class is
+dropped unbuilt and unchecked.
 
 There is no size cap here (1,301 classes at 13 vertices, 823,065 at 20):
 the command line checks every size against ``--max-k``.  The brute-force
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .trees import Tree, _loaded, adjacency, adjacency_code, degrees, max_degree
+from .trees import Tree, _loaded, adjacency_code, checked_walk, max_degree
 
 
 @dataclass(frozen=True)
@@ -69,14 +73,16 @@ def _classes(n: int, dmax: int | None) -> dict[bytes, Tree]:
         return {code: _loaded(Tree(1, ()), code)}
     out: dict[bytes, Tree] = {}
     for _, parent in sorted(_classes(n - 1, dmax).items()):
-        deg = degrees(parent)
+        padj = checked_walk(parent).adj
         for v in range(n - 1):
-            if dmax is not None and deg[v] >= dmax:
+            if dmax is not None and len(padj[v]) >= dmax:
                 continue
-            t = Tree(n, parent.edges + ((v, n - 1),))
-            code = adjacency_code(adjacency(t))
+            adj = [a[:] for a in padj]
+            adj[v].append(n - 1)
+            adj.append([v])
+            code = adjacency_code(adj)
             if code not in out:
-                out[code] = _loaded(t, code)
+                out[code] = _loaded(Tree(n, parent.edges + ((v, n - 1),)), code)
     return out
 
 

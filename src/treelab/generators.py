@@ -109,6 +109,7 @@ def glue(t: Tree, s: Tree, k: int, leaf_t: int, leaf_s: int) -> Tree:
     connectors as t.n+s.n .. t.n+s.n+k-2 in path order from the t side.
     The connector path has k edges, so any window of k consecutive vertices
     straddling the join touches at most one vertex of t and one of s.
+    Raises InvalidTreeError when t or s is not a tree.
     """
     if k < 2:
         raise ValueError(f"window size must be >= 2, got k={k}")

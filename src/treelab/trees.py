@@ -10,8 +10,11 @@ code the catalog deduplicated it by; a loaded host or catalog tree is
 checked, laid out and coded once.  checked_walk hands the Walk to the
 window counters and canonical codes, and reruns the pass, without storing
 it, for a tree built in memory; canonical_code returns a kept code before
-it builds one.  Nothing else is cached on the object: degrees and centers
-are derived on demand.
+it builds one.  Nothing else is cached on the object: degrees, leaves and
+centers are read off the Walk on demand, so each rejects an edge list
+that is not a tree.  The checked pass is the library's only builder of
+adjacency lists from an edge tuple; the catalog codes its candidates
+from copies of their parent's kept lists.
 
 Canonical form convention: root the tree at its center; a bicentral tree is
 rooted at each endpoint of the central edge and the lexicographically smaller
@@ -143,31 +146,19 @@ def _loaded(t: Tree, code: bytes | None = None) -> Tree:
     return t
 
 
-def adjacency(t: Tree) -> list[list[int]]:
-    """Adjacency lists; neighbor order follows the edge tuple."""
-    adj: list[list[int]] = [[] for _ in range(t.n)]
-    for u, v in t.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 def degrees(t: Tree) -> list[int]:
-    deg = [0] * t.n
-    for u, v in t.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return deg
+    """Vertex degrees, read off the checked walk.  Raises InvalidTreeError
+    when t is not a tree, as do the readers below built on it."""
+    return [len(a) for a in checked_walk(t).adj]
 
 
 def max_degree(t: Tree) -> int:
-    return max(degrees(t)) if t.n > 1 else 0
+    return max(degrees(t))
 
 
 def leaves(t: Tree) -> list[int]:
     """Vertices of degree <= 1, ascending.  The lone vertex of K_1 counts."""
-    deg = degrees(t)
-    return [v for v in range(t.n) if deg[v] <= 1]
+    return [v for v, d in enumerate(degrees(t)) if d <= 1]
 
 
 def lowest_leaf(t: Tree) -> int:

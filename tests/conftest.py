@@ -6,10 +6,11 @@ generator lists every window one by one, and both classify by canonical
 code, so agreement with the engine is meaningful evidence.  The
 automorphism count tries every vertex permutation.  The reference
 canonical code finds the centers by eccentricity and codes recursively,
-sharing nothing with the leaf peel that trees.adjacency_code runs.  The
-report JSON oracle builds the dicts a verification report stands for, so
-that json.dumps(..., indent=2) of them is the text `treelab verify` must
-write.
+sharing nothing with the leaf peel that trees.adjacency_code runs.  Every
+oracle reads its adjacency lists off the edge tuple with edge_adjacency,
+not through the library's checked pass.  The report JSON oracle builds
+the dicts a verification report stands for, so that
+json.dumps(..., indent=2) of them is the text `treelab verify` must write.
 """
 
 from __future__ import annotations
@@ -27,7 +28,18 @@ from treelab.catalog import enumerate_trees
 from treelab.census import VerificationReport
 from treelab.counting import fraction_to_decimal
 from treelab.generators import prufer_to_tree
-from treelab.trees import Tree, adjacency, canonical_code, make_tree
+from treelab.trees import Tree, canonical_code, make_tree
+
+
+def edge_adjacency(t: Tree) -> list[list[int]]:
+    """Adjacency lists read straight off the edge tuple, unchecked, with
+    neighbour order following it: the oracles' own, sharing nothing with
+    the checked pass in treelab.trees."""
+    adj: list[list[int]] = [[] for _ in range(t.n)]
+    for u, v in t.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
 
 
 def subset_is_connected(adj, subset) -> bool:
@@ -53,7 +65,7 @@ def induced_subtree(t: Tree, subset) -> Tree:
 
 def naive_window_census(t: Tree, k: int) -> dict[bytes, int]:
     """Count connected k-subsets by brute force over all C(n,k) subsets."""
-    adj = adjacency(t)
+    adj = edge_adjacency(t)
     out: dict[bytes, int] = {}
     for subset in itertools.combinations(range(t.n), k):
         if subset_is_connected(adj, subset):
@@ -73,7 +85,7 @@ def enumerate_connected_subsets(t: Tree, k: int):
         for v in range(t.n):
             yield (v,)
         return
-    adj = adjacency(t)
+    adj = edge_adjacency(t)
 
     def grow(anchor, sub, pool):
         last = len(sub) + 1 == k
@@ -110,7 +122,7 @@ def naive_copy_count(pattern: Tree, host: Tree) -> int:
 def reference_center(t: Tree) -> tuple[int, ...]:
     """The vertices of least eccentricity, by a breadth-first search from
     every vertex."""
-    adj = adjacency(t)
+    adj = edge_adjacency(t)
 
     def eccentricity(s: int) -> int:
         dist = {s: 0}
@@ -129,7 +141,7 @@ def reference_center(t: Tree) -> tuple[int, ...]:
 def reference_code(t: Tree) -> bytes:
     """The canonical code the module docstring of treelab.trees defines:
     the tree coded recursively from each center, the smaller code kept."""
-    adj = adjacency(t)
+    adj = edge_adjacency(t)
 
     def rooted(v: int, parent: int) -> bytes:
         return b"(" + b"".join(sorted(rooted(w, v) for w in adj[v] if w != parent)) + b")"

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import prufer_class_count
+from conftest import edge_adjacency, prufer_class_count
 from treelab.catalog import (
     catalog_count,
     enumerate_trees,
@@ -11,11 +11,9 @@ from treelab.catalog import (
 from treelab import trees
 from treelab.generators import make_path, make_star
 from treelab.trees import (
-    adjacency,
     adjacency_code,
     canonical_code,
     checked_walk,
-    degrees,
     make_tree,
     max_degree,
 )
@@ -97,7 +95,7 @@ class TestClosure:
         for k in range(2, 9):
             smaller = set(enumerate_trees(k - 1).codes)
             for t in enumerate_trees(k).entries:
-                adj = adjacency(t)
+                adj = edge_adjacency(t)
                 for v in range(t.n):
                     if len(adj[v]) != 1:
                         continue
@@ -120,7 +118,7 @@ class TestKeptWalkAndCode:
             copy = make_tree(t.n, t.edges)
             assert checked_walk(t) is t._walk
             assert t._walk == trees._check(copy)[1]
-            assert canonical_code(t) == adjacency_code(adjacency(copy))
+            assert canonical_code(t) == adjacency_code(edge_adjacency(copy))
             assert t == copy and hash(t) == hash(copy) and repr(t) == repr(copy)
             assert copy._walk is None and copy._code is None
 

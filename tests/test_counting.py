@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_connected_subsets, induced_subtree, naive_copy_count, naive_window_census
+from conftest import (
+    edge_adjacency,
+    enumerate_connected_subsets,
+    induced_subtree,
+    naive_copy_count,
+    naive_window_census,
+)
 from treelab import counting
 from treelab.catalog import enumerate_trees
 from treelab.counting import (
@@ -386,7 +392,7 @@ class TestLoadedHosts:
         first = count_all(t, 7)
         assert count_paths_fast(t, 7) == first.per_type[enumerate_trees(7).path_index]
         assert count_all(t, 7) == first
-        assert trees.checked_walk(t).adj == trees.adjacency(t)
+        assert trees.checked_walk(t).adj == edge_adjacency(t)
 
     def test_one_validation_pass_per_host(self, tmp_path, monkeypatch):
         calls = []

@@ -24,6 +24,8 @@ from treelab.generators import (
     random_tree_bounded_degree,
 )
 from treelab.trees import (
+    InvalidTreeError,
+    Tree,
     canonical_code,
     checked_walk,
     degrees,
@@ -108,6 +110,25 @@ class TestGlue:
         t, s = make_path(5), make_path(5)
         with pytest.raises(ValueError):
             glue(t, s, 4, 2, 0)  # vertex 2 is internal
+
+    # Neither is a tree: one has an endpoint out of range, the other is a
+    # triangle beside a lone vertex, which looks like a leaf by degree.
+    OUT_OF_RANGE = Tree(3, ((0, 5), (1, 2)))
+    TRIANGLE = Tree(4, ((0, 1), (1, 2), (2, 0)))
+
+    @pytest.mark.parametrize(
+        "t, s, leaf_t, leaf_s",
+        [
+            (OUT_OF_RANGE, make_path(2), 0, 0),
+            (make_path(2), OUT_OF_RANGE, 0, 0),
+            (TRIANGLE, make_path(2), 3, 0),
+            (make_path(2), TRIANGLE, 0, 3),
+        ],
+        ids=["out-of-range-t", "out-of-range-s", "cycle-t", "cycle-s"],
+    )
+    def test_rejects_what_is_not_a_tree(self, t, s, leaf_t, leaf_s):
+        with pytest.raises(InvalidTreeError):
+            glue(t, s, 3, leaf_t, leaf_s)
 
     def test_path_glue_path_is_path(self):
         t = make_path(4)

@@ -13,13 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import automorphism_count, reference_center, reference_code
+from conftest import automorphism_count, edge_adjacency, reference_center, reference_code
 from treelab.catalog import enumerate_trees
 from treelab.generators import make_path, make_star, prufer_to_tree, random_tree
 from treelab.trees import (
     InvalidTreeError,
     Tree,
-    adjacency,
     adjacency_code,
     canonical_code,
     center,
@@ -112,7 +111,7 @@ class TestValidation:
         problem = validate(t)
         assert (problem is None) == union_find_is_tree(n, edges)
         if problem is None:
-            assert checked_walk(t).adj == adjacency(t)
+            assert checked_walk(t).adj == edge_adjacency(t)
         else:
             assert "\n" not in problem
             with pytest.raises(InvalidTreeError, match=re.escape(problem)):
@@ -181,9 +180,10 @@ class TestStructure:
 
 
 class TestNotATree:
-    """center and the leaf peel stop on edge lists that are not trees.  An
-    earlier peel looped forever once no leaf was left, so each test runs
-    under an alarm (pytest-timeout is not a dependency)."""
+    """center, the leaf peel and the degree readers reject edge lists that
+    are not trees.  An earlier peel looped forever once no leaf was left,
+    so each test runs under an alarm (pytest-timeout is not a
+    dependency)."""
 
     CYCLES = [
         Tree(4, ((0, 1), (1, 2), (2, 0))),
@@ -207,10 +207,16 @@ class TestNotATree:
         with pytest.raises(InvalidTreeError):
             center(t)
 
+    @pytest.mark.parametrize("read", [degrees, max_degree, leaves, lowest_leaf])
+    @pytest.mark.parametrize("t", CYCLES + [Tree(3, ((0, 5), (1, 2)))])
+    def test_readers_raise(self, read, t):
+        with pytest.raises(InvalidTreeError):
+            read(t)
+
     @pytest.mark.parametrize("t", CYCLES)
     def test_peel_stops_without_leaves(self, t):
         with pytest.raises(InvalidTreeError, match="no leaf left to peel"):
-            adjacency_code(adjacency(t))
+            adjacency_code(edge_adjacency(t))
 
 
 class TestCanonicalCode:
@@ -240,7 +246,7 @@ class TestCanonicalCode:
     def test_long_path_code_memory(self):
         # A code is 2n bytes; the codes held at once while one is built
         # belong to disjoint subtrees, so the peak stays linear in n.
-        adj = adjacency(make_path(20_000))
+        adj = edge_adjacency(make_path(20_000))
         tracemalloc.start()
         try:
             code = adjacency_code(adj)
@@ -434,7 +440,7 @@ class TestCheckedWalk:
     @given(random_trees(30))
     def test_each_vertex_after_its_parent(self, t):
         adj, order = checked_walk(t)
-        assert adj == adjacency(t)
+        assert adj == edge_adjacency(t)
         assert sorted(order) == list(range(t.n)) and order[0] == 0
         # Parents from an independent visited-set search from vertex 0.
         parent = {0: None}
