@@ -56,6 +56,9 @@ Cases:
   profile_convex_cli  cli.main for `profile --k 5` on the convex host, read
                       from its file, with --out os.devnull: load, count and
                       render
+  scan_cli            cli.main for `scan --out os.devnull` with its default
+                      --max-n: the catalogs for n = 2..11, built cold, and
+                      Y - 9S - P on each of their trees
   canonical_code_path_20000
                       adjacency_code of a 20,000-vertex path, its checked
                       walk's adjacency lists built untimed: the shape whose
@@ -103,6 +106,7 @@ CASES = {
                            ' "--s", STAR_FILE, "--k", "5", "--alpha", "1", "--beta", "2",'
                            ' "--out", os.devnull])'),
     "profile_convex_cli": ("", 'cli.main(["profile", "--tree", HOST, "--k", "5", "--out", os.devnull])'),
+    "scan_cli": ("", 'cli.main(["scan", "--out", os.devnull])'),
     "canonical_code_path_20000": ("adj = checked_walk(make_path(20000)).adj", "adjacency_code(adj)"),
 }
 

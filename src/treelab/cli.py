@@ -7,8 +7,8 @@ experiment), inducibility (gluing-based density floors).
 
 Settings come from flags alone: the global --max-k, --vertex-cap and
 --precision, whose defaults live in treelab.config, and the --seed of
-gen random and scan.  No shell variable and no settings file is read,
-so a run is a function of its argv and input files.
+gen random.  No shell variable and no settings file is read, so a run
+is a function of its argv and input files.
 
 Machine-readable output goes to --out or standard output; diagnostics go
 to standard error.  Exit codes: 0 success, 1 at least one verification
@@ -51,7 +51,6 @@ from .config import (
     DEFAULT_FIGURE_D_MAX,
     DEFAULT_FIGURE_SAMPLES,
     DEFAULT_MAX_K,
-    DEFAULT_SCAN_BUDGET,
     DEFAULT_SCAN_MAX_N,
     DEFAULT_SCHEDULE,
     DEFAULT_SEED,
@@ -239,13 +238,12 @@ def _cmd_region(args) -> int:
 
 def _cmd_scan(args) -> int:
     _check_catalog_cap(args.max_n, f"scan --max-n {args.max_n}", args.max_k)
-    report = conjecture_scan(args.max_n, args.seed, args.budget)
+    report = conjecture_scan(args.max_n)
     payload = {
         "max_value": report.max_value,
         "witness_code": report.witness_code,
         "witness": tree_to_json(report.witness),
         "examined": report.examined,
-        "seed": args.seed,
     }
     _write_output(_value_text(payload, args.decimal_precision, ""), args.out)
     return 0
@@ -354,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="search for large Y - 9S - P values")
     p.add_argument("--max-n", type=int, dest="max_n", default=DEFAULT_SCAN_MAX_N)
-    p.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_scan)
 

@@ -15,12 +15,12 @@ DEFAULT_MAX_K = 12
 DEFAULT_VERTEX_CAP = 1_000_000
 DEFAULT_DECIMAL_PRECISION = 12
 
-# Subcommand defaults, each read by a library signature and its flag.
-DEFAULT_SEED = 0                        # gen random --seed, scan --seed
+# Subcommand defaults, each read by its flag and, all but the seed, by a
+# library signature.
+DEFAULT_SEED = 0                        # gen random --seed
 DEFAULT_VERIFY_MAX_N = 11               # verify --max-n, run_suite
 DEFAULT_WINDOW_SIZES = (5, 6)           # verify's window-bound k, run_suite
-DEFAULT_SCAN_MAX_N = 10                 # scan --max-n, conjecture_scan
-DEFAULT_SCAN_BUDGET = 200               # scan --budget, conjecture_scan
+DEFAULT_SCAN_MAX_N = 11                 # scan --max-n, conjecture_scan
 DEFAULT_FIGURE_D_MAX = 8                # region --d-max, emit_figure_data
 DEFAULT_FIGURE_SAMPLES = 50             # region --samples, emit_figure_data
 DEFAULT_SCHEDULE = (1, 2, 4, 8, 16)     # inducibility --schedule, inducibility_lower_bound

@@ -18,7 +18,7 @@ On hosts past a few dozen vertices the DP hash-conses its vertex states:
 the first few hundred distinct states are interned by content, and a
 vertex whose children's states are all interned reuses the result of the
 first vertex with the same child states, so its merges are done once per
-distinct key of child state ids; the first few hundred keys are kept.
+distinct key of child state ids; the first few thousand keys are kept.
 Glue powers and the two-family mixture repeat a few local shapes
 thousands of times and cost little more than their distinct keys; a host
 whose states or keys do not repeat fills the bounded tables and merges
@@ -48,11 +48,13 @@ from .config import DEFAULT_DECIMAL_PRECISION
 from .trees import Tree, adjacency_code, checked_walk
 
 
-# Most states _rooted_tally interns by content, and most child-state keys
-# it memoises; past that, new states stay plain dicts and new keys are
-# merged afresh.  Interning every state raised the tracemalloc peak of
-# count_all(random_tree(4000, 1), 8) from 1.5 to 6.9 MB; memoising every
-# key kept 3,458 keys for random_tree(100000, 1) at k = 4.
+# Most states _rooted_tally interns by content; it memoises at most 16
+# times as many child-state keys.  Past that, new states stay plain dicts
+# and new keys are merged afresh.  Interning every state raised the
+# tracemalloc peak of count_all(random_tree(4000, 1), 8) from 1.5 to
+# 6.9 MB.  random_tree(100000, 1) at k = 4 has 3,458 keys over 71 states:
+# memoising at most 256 of them made its count about 30% slower, and
+# 4,096 hold them all at a 2.3 MB peak against 1.0 MB.
 _INTERN_CAP = 256
 # Hosts with fewer vertices merge plain dicts only.  On them few states
 # repeat, and the interning made the DP 20-70% slower on random trees of
@@ -72,10 +74,10 @@ def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]
     states are interned by content, and a vertex whose children are all
     interned looks up the tuple of their ids: on a hit it reuses that key's
     result and bumps its use count, and each key's windows are tallied
-    once, times its use count, at the end; at most _INTERN_CAP keys are
-    kept.  So the cost grows with the number of distinct child-state keys,
-    not with n, on hosts that repeat a few local shapes, such as glue
-    powers.
+    once, times its use count, at the end; at most 16 * _INTERN_CAP keys
+    are kept.  So the cost grows with the number of distinct child-state
+    keys, not with n, on hosts that repeat a few local shapes, such as
+    glue powers.
     """
     if k < 1:
         raise ValueError(f"window size must be >= 1, got k={k}")
@@ -118,7 +120,7 @@ def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]
                 below[v] = hit[0]
                 continue
         intern = len(states) < cap
-        memoise = pure and intern and len(memo) < cap
+        memoise = pure and intern and len(memo) < 16 * cap
         out = {} if memoise else tally
         top = lone
         for sub in key:

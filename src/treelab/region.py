@@ -6,8 +6,8 @@ For k = 5 there are exactly three window shapes (path, star, fork), so a
 points traced by millipede families, the polygon they span together with
 the all-star corner (an inner certificate for the attainable region), the
 boundary line y = (1-2x)/37 with its margin function, figure data export,
-a scan hunting counterexamples to a conjectured sharper fork bound, and
-gluing-based inducibility estimates.
+an exhaustive scan hunting counterexamples to a conjectured sharper fork
+bound, and gluing-based inducibility estimates.
 
 Everything is exact rational arithmetic; decimal strings appear only in
 emitted CSV.
@@ -16,7 +16,6 @@ emitted CSV.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,10 +25,8 @@ from .config import (
     DEFAULT_DECIMAL_PRECISION,
     DEFAULT_FIGURE_D_MAX,
     DEFAULT_FIGURE_SAMPLES,
-    DEFAULT_SCAN_BUDGET,
     DEFAULT_SCAN_MAX_N,
     DEFAULT_SCHEDULE,
-    DEFAULT_SEED,
     DEFAULT_VERTEX_CAP,
 )
 from .counting import (
@@ -38,7 +35,7 @@ from .counting import (
     count_y_fast,
     fraction_to_decimal,
 )
-from .generators import glue_power_counts, glue_power_size, prufer_to_tree
+from .generators import glue_power_counts, glue_power_size
 from .trees import Tree, canonical_code, max_degree
 
 @dataclass(frozen=True)
@@ -197,40 +194,24 @@ class ScanReport:
     examined: int
 
 
-def conjecture_scan(
-    max_n: int = DEFAULT_SCAN_MAX_N,
-    seed: int = DEFAULT_SEED,
-    budget: int = DEFAULT_SCAN_BUDGET,
-) -> ScanReport:
+def conjecture_scan(max_n: int = DEFAULT_SCAN_MAX_N) -> ScanReport:
     """Hunt for trees with large Y - 9S - P.
 
-    Exhaustive over all trees with up to max_n vertices, then `budget`
-    random trees of 2 to 5 times that size.  Ties prefer the
-    lexicographically smallest canonical code, so the report is
-    deterministic for a fixed seed regardless of evaluation order.
+    Exhaustive over all trees with 2 to max_n vertices.  Ties prefer the
+    lexicographically smallest canonical code, so the report does not
+    depend on evaluation order.
     """
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
     best: tuple[int, bytes, Tree] | None = None
     examined = 0
-
-    def offer(t: Tree) -> None:
-        nonlocal best, examined
-        examined += 1
-        value = count_y_fast(t) - 9 * count_stars_fast(t, 5) - count_paths_fast(t, 5)
-        code = canonical_code(t)
-        if best is None or value > best[0] or (value == best[0] and code < best[1]):
-            best = (value, code, t)
-
     for n in range(2, max_n + 1):
         for t in enumerate_trees(n).entries:
-            offer(t)
-    rng = random.Random(seed)
-    for _ in range(budget):
-        n = rng.randrange(2 * max_n, 5 * max_n + 1)
-        offer(prufer_to_tree([rng.randrange(n) for _ in range(n - 2)], n))
+            examined += 1
+            value = count_y_fast(t) - 9 * count_stars_fast(t, 5) - count_paths_fast(t, 5)
+            code = canonical_code(t)
+            if best is None or value > best[0] or (value == best[0] and code < best[1]):
+                best = (value, code, t)
     assert best is not None
     return ScanReport(
         max_value=best[0], witness=best[2],

@@ -453,7 +453,7 @@ class TestGcWindow:
          "--alpha", "1", "--beta", "2"],
         ["inducibility", "--tree", "{pattern}", "--schedule", "1,4,16,64"],
         ["verify", "--max-n", "9"],
-        ["scan", "--max-n", "9", "--budget", "200"],
+        ["scan"],
     ])
     def test_commands_leave_no_cycles(self, tmp_path, capsys, argv):
         # Why the collector may stay off: a command's own objects are freed
@@ -475,7 +475,7 @@ class TestCatalogCap:
     # is replaced by the size, and "p{}.json" is a path on that many vertices.
     @pytest.mark.parametrize("command,extra", [
         ("verify", ["--max-n", "{}"]),
-        ("scan", ["--max-n", "{}", "--budget", "5"]),
+        ("scan", ["--max-n", "{}"]),
         ("enum", ["--k", "{}"]),
         ("profile", ["--tree", "p9.json", "--k", "{}"]),
         ("inducibility", ["--tree", "p{}.json", "--schedule", "1,2"]),
@@ -569,18 +569,11 @@ class TestRegionScan:
         assert not target.exists()
 
     def test_scan_json(self, capsys):
-        code, out, _ = run(capsys, "scan", "--max-n", "7", "--budget", "10",
-                           "--seed", "2")
+        code, out, _ = run(capsys, "scan", "--max-n", "7")
         assert code == 0
         d = json.loads(out)
-        assert {"max_value", "witness", "witness_code", "examined", "seed"} <= d.keys()
-        assert d["seed"] == 2
-
-    def test_scan_negative_budget_exits_two(self, capsys):
-        code, out, err = run(capsys, "scan", "--max-n", "4", "--budget", "-1")
-        assert code == 2
-        assert out == ""
-        assert err == "treelab: error: budget must be >= 0, got -1\n"
+        assert d.keys() == {"max_value", "witness", "witness_code", "examined"}
+        assert (d["max_value"], d["examined"]) == (4, 24)
 
     def test_inducibility_json(self, tmp_path, capsys):
         f = tmp_path / "t.json"
@@ -653,6 +646,16 @@ class TestConfigPlumbing:
         assert e.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "usage: treelab" in captured.err
+
+    @pytest.mark.parametrize("argv", [["--budget", "5"], ["--seed", "2"]], ids=["budget", "seed"])
+    def test_scan_sampling_flags_removed(self, capsys, argv):
+        # scan is exhaustive over its catalogs: no sample size, no seed.
+        with pytest.raises(SystemExit) as e:
+            main(["scan", *argv])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(argv)}" in captured.err
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as e:

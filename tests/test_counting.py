@@ -164,13 +164,13 @@ class TestInternedStates:
             assert count_all(t, k) == want, cap
 
     def test_keys_past_the_cap_are_tallied(self, monkeypatch):
-        # At k = 3 a state is the number of children, so this host has 5
-        # states but 35 distinct keys of child state ids: a cap of 16
-        # interns every state and memoises only the first 16 keys.
-        t = random_tree(300, 1)
+        # At k = 3 a state is the number of children, so this host has 8
+        # states but 149 distinct keys of child state ids: a cap of 8
+        # interns every state and memoises only the first 16 * 8 = 128 keys.
+        t = random_tree(5000, 1)
         monkeypatch.setattr(counting, "_INTERN_CAP", 0)
         want = count_all(t, 3)
-        monkeypatch.setattr(counting, "_INTERN_CAP", 16)
+        monkeypatch.setattr(counting, "_INTERN_CAP", 8)
         assert count_all(t, 3) == want
 
     def test_memory_bounded_by_cap(self):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from treelab import generators
+from treelab.catalog import enumerate_trees
 from treelab.counting import count_all
 from treelab.generators import make_millipede, make_path, make_star, random_tree
 from treelab.region import (
@@ -176,32 +177,36 @@ class TestFigureData:
 
 
 class TestScan:
-    def test_deterministic(self):
-        a = conjecture_scan(max_n=7, seed=5, budget=40)
-        b = conjecture_scan(max_n=7, seed=5, budget=40)
-        assert (a.max_value, a.witness_code, a.examined) == (
-            b.max_value, b.witness_code, b.examined)
+    def test_default_finds_the_tight_constant(self):
+        # Y - 9S - P first reaches 6 on 11 vertices: a center with one leaf
+        # and three neighbours that each carry two leaves.
+        r = conjecture_scan()
+        assert (r.max_value, r.witness_code, r.examined) == (6, "((()())(()())(()())())", 435)
+        assert r.witness_code == canonical_code(r.witness).decode("ascii")
+
+    def test_ten_vertices_reach_five(self):
+        r = conjecture_scan(max_n=10)
+        assert (r.max_value, r.examined) == (5, 200)
 
     def test_small_exhaustive_value(self):
-        r = conjecture_scan(max_n=8, seed=0, budget=0)
+        r = conjecture_scan(max_n=8)
         assert r.max_value == 4
         assert r.witness_code == canonical_code(r.witness).decode("ascii")
 
     def test_larger_scan_exceeds_four(self):
         # a double fork on 9 vertices already reaches five
-        r = conjecture_scan(max_n=9, seed=0, budget=0)
+        r = conjecture_scan(max_n=9)
         assert r.max_value >= 5
 
-    def test_rejects_negative_budget(self):
-        with pytest.raises(ValueError, match="budget"):
-            conjecture_scan(max_n=4, budget=-1)
-        assert conjecture_scan(max_n=4, budget=0).examined == 4
+    def test_rejects_max_n_below_two(self):
+        with pytest.raises(ValueError, match="^max_n must be >= 2, got 1$"):
+            conjecture_scan(max_n=1)
+        assert conjecture_scan(max_n=2).examined == 1
 
     def test_examined_accounting(self):
-        r = conjecture_scan(max_n=6, seed=1, budget=25)
-        exhaustive = sum(len(__import__("treelab").enumerate_trees(n).entries)
-                         for n in range(2, 7))
-        assert r.examined == exhaustive + 25
+        for max_n in (4, 6, 11):
+            exhaustive = sum(enumerate_trees(n).count for n in range(2, max_n + 1))
+            assert conjecture_scan(max_n=max_n).examined == exhaustive
 
 
 class TestInducibility:
