@@ -59,6 +59,11 @@ Cases:
   scan_cli            cli.main for `scan --out os.devnull` with its default
                       --max-n: the catalogs for n = 2..11, built cold, and
                       Y - 9S - P on each of their trees
+  z_total_k8_random   count_connected_subsets(host, 8) on random_tree(20000,
+                      1), loaded from its file: the window total alone
+  z_total_k5_convex   count_connected_subsets(host, 5) on the convex host,
+                      loaded from its file: a host whose repeated local
+                      shapes the size polynomial does not share
   canonical_code_path_20000
                       adjacency_code of a 20,000-vertex path, its checked
                       walk's adjacency lists built untimed: the shape whose
@@ -107,6 +112,8 @@ CASES = {
                            ' "--out", os.devnull])'),
     "profile_convex_cli": ("", 'cli.main(["profile", "--tree", HOST, "--k", "5", "--out", os.devnull])'),
     "scan_cli": ("", 'cli.main(["scan", "--out", os.devnull])'),
+    "z_total_k8_random": ("t = load_tree(RANDOM)", "count_connected_subsets(t, 8)"),
+    "z_total_k5_convex": ("t = load_tree(HOST)", "count_connected_subsets(t, 5)"),
     "canonical_code_path_20000": ("adj = checked_walk(make_path(20000)).adj", "adjacency_code(adj)"),
 }
 
@@ -115,6 +122,7 @@ import os, sys, time
 sys.path.insert(0, {src!r})
 from treelab import cli, count_all, convex_glue, glue_power, make_path, make_star, random_tree, run_suite
 from treelab.catalog import enumerate_trees, enumerate_trees_bounded_degree
+from treelab.counting import count_connected_subsets
 from treelab.trees import adjacency_code, checked_walk, dump_tree, load_tree, make_tree
 HOST, RANDOM, RANDOM_BIG, PATTERN_FILE = {host!r}, {random!r}, {random_big!r}, {pattern!r}
 PATH_FILE, STAR_FILE = {path!r}, {star!r}

@@ -17,7 +17,10 @@ A candidate is coded from a copy of its parent's kept Walk lists with the
 new leaf appended, and the parent's degrees are read off the same lists,
 so no adjacency is rebuilt from an edge tuple here.  Its Tree is built
 only when its code is new; a candidate that duplicates a kept class is
-dropped unbuilt and unchecked.
+dropped unbuilt and unchecked.  A leaf whose sibling leaf in the same
+parent was already extended is skipped: swapping the two is an
+automorphism, so its candidate has a code already kept, and the first
+candidate of a code still wins, so no entry changes.
 
 There is no size cap here (1,301 classes at 13 vertices, 823,065 at 20):
 the command line checks every size against ``--max-k``.  The brute-force
@@ -74,9 +77,15 @@ def _classes(n: int, dmax: int | None) -> dict[bytes, Tree]:
     out: dict[bytes, Tree] = {}
     for _, parent in sorted(_classes(n - 1, dmax).items()):
         padj = checked_walk(parent).adj
+        # Neighbours of the leaves extended so far in this parent.
+        stems = set()
         for v in range(n - 1):
             if dmax is not None and len(padj[v]) >= dmax:
                 continue
+            if len(padj[v]) == 1:
+                if padj[v][0] in stems:
+                    continue
+                stems.add(padj[v][0])
             adj = [a[:] for a in padj]
             adj[v].append(n - 1)
             adj.append([v])

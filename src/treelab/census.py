@@ -23,9 +23,11 @@ by the test suite.
 Each check has a private function that makes its report from the counts
 it compares.  The public check_* functions count for one tree and call
 it; the suite runner counts each quantity once per corpus tree (the
-census, Z_k, P_k and S_k per k, Y and its split) and hands the same
-numbers to every report that needs them.  Its corpus trees come from the catalogs,
-which keep each entry's checked walk and canonical code.
+census, every Z_k from one pass, P_k and S_k per k, Y and its split)
+and hands the same numbers to every report that needs them; the lemma
+pass reads P_5 and Y of a max-degree-3 tree from the census pass, which
+keeps them under its canonical code.  Its corpus trees come from the
+catalogs, which keep each entry's checked walk and canonical code.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from fractions import Fraction
 from .catalog import catalog_count, enumerate_trees, enumerate_trees_bounded_degree
 from .config import DEFAULT_VERIFY_MAX_N, DEFAULT_WINDOW_SIZES
 from .counting import (
+    _window_totals,
     count_connected_subsets,
     count_paths_fast,
     count_stars_fast,
@@ -276,7 +279,7 @@ def _general(inputs: str, k: int, N: int, Z: int, P: int, S: int) -> Verificatio
     if Z > 0:
         shadow = _bound_report(
             "general_window_bound_density", inputs,
-            Fraction(1, cap), Fraction(P, Z) + 2 * Fraction(S, Z) + Fraction(1, Z),
+            Fraction(1, cap), Fraction(P + 2 * S + 1, Z),
             note="density form of the same bound",
         )
         parts = (main, shadow)
@@ -388,13 +391,15 @@ def check_millipede_upper(k: int, length: int) -> VerificationReport:
     )
 
 
-def _census_checks_for(t: Tree) -> list[VerificationReport]:
+def _census_checks_for(t: Tree, shared: dict) -> list[VerificationReport]:
+    code = canonical_code(t)
     inputs = _describe(t)
     c = degree_type_census(t)
     P = count_paths_fast(t, 5)
     Y = count_y_fast(t)
+    shared[code] = (P, Y)
     identity = _PY_identity(inputs, c, P, Y)
-    if canonical_code(t) in PY_IDENTITY_EXCEPTIONS:
+    if code in PY_IDENTITY_EXCEPTIONS:
         # Only the universally valid part applies to the three small trees.
         identity = identity.parts[2]
     return [
@@ -405,24 +410,27 @@ def _census_checks_for(t: Tree) -> list[VerificationReport]:
     ]
 
 
-def _lemma_checks_for(t: Tree, ks: tuple[int, ...]) -> list[VerificationReport]:
+def _lemma_checks_for(t: Tree, ks: tuple[int, ...], shared: dict) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     desc = _describe(t)
     D = max_degree(t)
-    paths: dict[int, int] = {}
+    known = shared.get(canonical_code(t))
+    paths: dict[int, int] = {} if known is None else {5: known[0]}
     stars: dict[int, int] = {}
+    # At least 1: catalog_count rejects a k below 1 first, in the loop.
+    totals = _window_totals(t, max((1, *ks)))
     for k in ks:
         inputs = f"{desc} k={k}"
         N = catalog_count(k)
-        Z = count_connected_subsets(t, k)
-        P = paths[k] = count_paths_fast(t, k)
+        Z = totals[k]
+        P = paths[k] = paths[k] if k in paths else count_paths_fast(t, k)
         S = stars[k] = count_stars_fast(t, k)
         if t.n >= 2 and D <= k - 2:
             reports.append(_smalldeg(inputs, k, N, Z, P))
         reports.append(_general(inputs, k, N, Z, P, S))
     P5 = paths[5] if 5 in paths else count_paths_fast(t, 5)
     S5 = stars[5] if 5 in stars else count_stars_fast(t, 5)
-    Y = count_y_fast(t)
+    Y = count_y_fast(t) if known is None else known[1]
     if 2 <= t.n and D <= 3:
         reports.append(_Y_P4(desc, P5, Y))
     reports.append(_Y_36S(desc, P5, S5, Y, count_y_split(t)))
@@ -447,14 +455,15 @@ def run_suite(
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
     reports: list[VerificationReport] = []
+    shared: dict[bytes, tuple[int, int]] = {}  # code -> (P_5, Y)
     if suite in ("census", "all"):
         for n in range(2, max_n + 1):
             for t in enumerate_trees_bounded_degree(n, 3):
-                reports.extend(_census_checks_for(t))
+                reports.extend(_census_checks_for(t, shared))
     if suite in ("lemmas", "all"):
         for n in range(2, max_n + 1):
             for t in enumerate_trees(n).entries:
-                reports.extend(_lemma_checks_for(t, ks))
+                reports.extend(_lemma_checks_for(t, ks, shared))
         for k in (6, 8):
             for length in (10, 20):
                 reports.append(check_millipede_upper(k, length))

@@ -121,18 +121,19 @@ def _value_text(v, digits: int, pad: str) -> str:
 
 def _report_text(r: VerificationReport, digits: int, pad: str) -> str:
     # Keys in the order check, inputs, lhs, rhs, holds, slack, then
-    # equality, note and parts when set.
+    # equality, note and parts when set.  Int and bool fields are inline.
     inner = pad + "  "
+    a, b, c = r.lhs, r.rhs, r.slack
     fields = [
         f'"check": {_quote(r.check)}',
         f'"inputs": {_quote(r.inputs)}',
-        f'"lhs": {_value_text(r.lhs, digits, inner)}',
-        f'"rhs": {_value_text(r.rhs, digits, inner)}',
-        f'"holds": {_value_text(r.holds, digits, inner)}',
-        f'"slack": {_value_text(r.slack, digits, inner)}',
+        f'"lhs": {int.__repr__(a) if type(a) is int else _value_text(a, digits, inner)}',
+        f'"rhs": {int.__repr__(b) if type(b) is int else _value_text(b, digits, inner)}',
+        f'"holds": {"true" if r.holds else "false"}',
+        f'"slack": {int.__repr__(c) if type(c) is int else _value_text(c, digits, inner)}',
     ]
     if r.equality is not None:
-        fields.append(f'"equality": {_value_text(r.equality, digits, inner)}')
+        fields.append(f'"equality": {"true" if r.equality else "false"}')
     if r.note:
         fields.append(f'"note": {_quote(r.note)}')
     if r.parts:

@@ -12,7 +12,10 @@ over rooted shapes (after Szekely and Wang, "On subtrees of trees"): a
 window is its top vertex plus, per child, nothing or a set topped by that
 child.  Shapes are ids in a table local to each call, so the cost grows
 with n and k, not with the number of windows, and each k-vertex rooted
-shape found is un-rooted to its canonical code once.
+shape found is un-rooted to its canonical code once.  This DP, behind
+count_all, is the only per-shape engine.  The window total Z_k needs no
+shapes: the same recursion over subtree-size polynomials gives Z_j for
+every j <= k in one O(n k^2) pass (_window_totals).
 
 On hosts past a few dozen vertices the DP hash-conses its vertex states:
 the first few hundred distinct states are interned by content, and a
@@ -24,7 +27,7 @@ thousands of times and cost little more than their distinct keys; a host
 whose states or keys do not repeat fills the bounded tables and merges
 vertex by vertex, in memory bounded as before.
 
-The DP and the path counter run leaf to root over the reverse of the
+The DP, Z and the path counter run leaf to root over the reverse of the
 tree's checked walk (trees.checked_walk): a host read from a file brings
 the adjacency lists and parent-before-child order its validation built,
 and a tree built in memory is validated once per call.  A vertex's done
@@ -42,6 +45,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .catalog import enumerate_trees
 from .config import DEFAULT_DECIMAL_PRECISION
@@ -185,9 +189,43 @@ def _window_tally(t: Tree, k: int) -> dict[bytes, int]:
     return out
 
 
+def _window_totals(t: Tree, k: int) -> list[int]:
+    """[Z_0, ..., Z_k], Z_0 = 0.  f_v[j] counts the windows of j vertices
+    topped by v: f_v is x times the product of (1 + f_c) over v's children
+    c, truncated at k and at the subtree's size, and Z_j sums f_v[j]."""
+    if k < 1:
+        raise ValueError(f"window size must be >= 1, got k={k}")
+    adj, order = checked_walk(t)
+    totals = [0] * (k + 1)
+    leaf = [0, 1]
+    below: list = [None] * t.n
+    for v in reversed(order):
+        f = leaf
+        for c in adj[v]:
+            g = below[c]
+            if g is None:
+                continue
+            below[c] = None
+            if f is leaf:
+                # x (1 + g) is g shifted up one size, plus the lone v.
+                f = [0, 1, *g[1:k]]
+                continue
+            h = f + [0] * (min(len(f) + len(g) - 2, k) + 1 - len(f))
+            for a in range(1, len(f)):
+                x = f[a]
+                for b in range(1, min(len(g), len(h) - a)):
+                    h[a + b] += x * g[b]
+            f = h
+        for j in range(2, len(f)):
+            totals[j] += f[j]
+        below[v] = f
+    totals[1] = t.n
+    return totals
+
+
 def count_connected_subsets(t: Tree, k: int) -> int:
     """Total number of windows of k vertices (the Z total)."""
-    return sum(_rooted_tally(t, k)[0].values())
+    return _window_totals(t, k)[k]
 
 
 @dataclass(frozen=True)
@@ -241,15 +279,18 @@ def profile(t: Tree, k: int) -> ProfileVector:
 
 
 def fraction_to_decimal(value: Fraction, digits: int = DEFAULT_DECIMAL_PRECISION) -> str:
-    """Fixed-point rendering with the given number of significant digits."""
+    """Fixed-point rendering with the given number of significant digits,
+    rounded half to even whatever the caller's decimal context says."""
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     if value == 0:
         return "0"
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        d = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
-    return format(d, "f")
+    return format(_decimal_context(digits).divide(value.numerator, value.denominator), "f")
+
+
+@lru_cache(maxsize=None)
+def _decimal_context(digits: int) -> decimal.Context:
+    return decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN, traps=[])
 
 
 def count_paths_fast(t: Tree, k: int) -> int:

@@ -8,7 +8,7 @@ from treelab.catalog import (
     enumerate_trees,
     enumerate_trees_bounded_degree,
 )
-from treelab import trees
+from treelab import catalog, trees
 from treelab.generators import make_path, make_star
 from treelab.trees import (
     adjacency_code,
@@ -133,6 +133,49 @@ class TestKeptWalkAndCode:
         plain = [t for n in range(1, 10) for t in enumerate_trees(n).entries]
         bounded = [t for n in range(1, 10) for t in enumerate_trees_bounded_degree(n, 3)]
         assert calls["_check"] == len(plain) + len(bounded)
+
+
+def unskipped_classes(max_n: int, dmax):
+    """Code -> representative per size up to max_n, extending every parent
+    at every vertex, the first candidate of a code winning: the catalog's
+    build without its sibling-leaf skip."""
+    layers = [{}, {canonical_code(make_tree(1, ())): make_tree(1, ())}]
+    for n in range(2, max_n + 1):
+        out: dict = {}
+        for _, parent in sorted(layers[-1].items()):
+            for v in range(n - 1):
+                t = make_tree(n, parent.edges + ((v, n - 1),))
+                if dmax is None or max_degree(t) <= dmax:
+                    out.setdefault(canonical_code(t), t)
+        layers.append(out)
+    return layers
+
+
+class TestSiblingLeafSkip:
+    # A leaf on a leaf whose neighbour already took one is skipped: the
+    # swap of the two sibling leaves maps the skipped candidate onto the
+    # earlier one, so no entry changes.
+    @pytest.mark.parametrize("dmax", [None, 2, 3, 4])
+    def test_entries_equal_the_unskipped_build(self, dmax):
+        layers = unskipped_classes(10, dmax)
+        for n in range(1, 11):
+            if dmax is None:
+                got = enumerate_trees(n).entries
+                want = [layers[n][c] for c in enumerate_trees(n).codes]
+            else:
+                got = enumerate_trees_bounded_degree(n, dmax)
+                want = [layers[n][c] for c in sorted(layers[n])]
+            assert [t.edges for t in got] == [t.edges for t in want]
+
+    def test_cold_build_codes_fewer_candidates(self, cold_catalogs, count_calls):
+        # 4,395 and 1,138 candidates are coded without the skip.
+        calls = count_calls(catalog, "adjacency_code")
+        for n in range(1, 13):
+            enumerate_trees(n)
+        assert calls["adjacency_code"] == 3504
+        for n in range(1, 13):
+            enumerate_trees_bounded_degree(n, 3)
+        assert calls["adjacency_code"] == 3504 + 1025
 
 
 class TestBoundedDegree:

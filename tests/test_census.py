@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treelab import catalog, counting, trees
+from treelab import catalog, census, counting, trees
 from treelab.catalog import enumerate_trees, enumerate_trees_bounded_degree
 from treelab.census import (
     PY_IDENTITY_EXCEPTIONS,
@@ -231,6 +232,10 @@ class TestSuite:
     ):
         calls = count_calls(trees, "_check")
         count_calls(counting, "_rooted_tally")
+        # The lemma pass calls _window_totals through census's import, the
+        # millipede chain through count_connected_subsets in counting.
+        count_calls(census, "_window_totals")
+        count_calls(counting, "_window_totals")
         # The catalog build calls adjacency_code through its own import;
         # every other caller reaches it through trees or counting.
         count_calls(catalog, "adjacency_code")
@@ -240,9 +245,20 @@ class TestSuite:
 
         monkeypatch.setattr(trees, "adjacency_code", no_code)
         monkeypatch.setattr(counting, "adjacency_code", no_code)
+        # The 5-vertex path and fork counts, per corpus tree.
+        per_tree: Counter = Counter()
+        for name in ("count_paths_fast", "count_y_fast"):
+            inner = getattr(census, name)
+
+            def counted(t, *k, inner=inner, name=name):
+                if k in ((), (5,)):
+                    per_tree[name, canonical_code(t)] += 1
+                return inner(t, *k)
+
+            monkeypatch.setattr(census, name, counted)
         ks = (5, 6)
         reports = run_suite("all", 12, ks)
-        checks, tallies = calls["_check"], calls["_rooted_tally"]
+        checks = calls["_check"]
         assert len(reports) == 5323 and all(r.holds for r in reports)
         assert calls["adjacency_code"] > 0
         millipedes = 4
@@ -251,9 +267,28 @@ class TestSuite:
             for n in range(1, 13)
         )
         assert checks <= entries + millipedes
-        lemma_trees = sum(len(enumerate_trees(n).entries) for n in range(2, 13))
-        # Every (tree, k) pair needs one DP, so this many calls means one each.
-        assert tallies == lemma_trees * len(ks) + millipedes
+        assert calls["_rooted_tally"] == 0
+        lemma_trees = [code for n in range(2, 13) for code in enumerate_trees(n).codes]
+        assert calls["_window_totals"] == len(lemma_trees) + millipedes
+        for name in ("count_paths_fast", "count_y_fast"):
+            assert {code: c for (f, code), c in per_tree.items() if f == name} == dict.fromkeys(
+                lemma_trees, 1
+            )
+
+    @pytest.mark.parametrize("ks", [(5, 6), (6,), (3, 8)])
+    def test_shared_counts_change_no_report(self, ks):
+        assert run_suite("all", 9, ks) == run_suite("census", 9, ks) + run_suite("lemmas", 9, ks)
+
+    def test_lemma_suite_counts_P5_and_Y_itself(self, count_calls):
+        # With no census pass to share them, the lemma pass counts both.
+        count_calls(census, "count_y_fast")
+        calls = count_calls(census, "count_paths_fast")
+        reports = run_suite("lemmas", 9, (6,))
+        lemma_trees = sum(len(enumerate_trees(n).entries) for n in range(2, 10))
+        assert all(r.holds for r in reports)
+        assert calls["count_y_fast"] == lemma_trees
+        # k = 6 and k = 5 per tree, plus k = 6 and 8 per millipede.
+        assert calls["count_paths_fast"] == 2 * lemma_trees + 4
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

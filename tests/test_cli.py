@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -396,6 +397,21 @@ class TestVerifyText:
     def test_empty_suite(self, monkeypatch, capsys):
         monkeypatch.setattr(cli_module, "run_suite", lambda *a: [])
         assert run(capsys, "verify") == (0, "[]\n", "0 checks, 0 failed\n")
+
+
+class TestPinnedOutputs:
+    # sha256 of stdout: catalog order, every verify report and its text
+    # stay byte for byte what they were when these were recorded.
+    @pytest.mark.parametrize("argv,digest", [
+        (("verify", "--max-n", "12"),
+         "582548c1f45ba92384d8be48cacd39ddabccfac61a2b62d525f4e7cd7bd1959d"),
+        (("enum", "--k", "12"),
+         "c40d85b6076fe4afc80065efe184aadff839924f4a0a216e3ba3f3b29e022bf5"),
+    ], ids=["verify-12", "enum-12"])
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.fixture

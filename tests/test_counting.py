@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 import functools
 import tracemalloc
 from fractions import Fraction
@@ -19,6 +20,7 @@ from treelab import counting
 from treelab.catalog import enumerate_trees
 from treelab.counting import (
     _window_tally,
+    _window_totals,
     count_all,
     count_connected_subsets,
     count_paths_fast,
@@ -240,6 +242,44 @@ class TestSubsetEnumeration:
                 assert count_connected_subsets(make_path(n), k) == n - k + 1
 
 
+class TestWindowTotals:
+    """_window_totals(t, k) lists Z_0..Z_k from one pass with no shapes;
+    the subset census and the shape DP are its references."""
+
+    def test_catalog_trees_match_naive(self, small_hosts):
+        for t in small_hosts:
+            totals = _window_totals(t, 9)
+            assert len(totals) == 10 and totals[0] == 0
+            for j in range(1, 10):
+                assert totals[j] == sum(naive_window_census(t, j).values()), (t, j)
+
+    @pytest.mark.parametrize("name", list(REPEATING_HOSTS))
+    def test_repeating_hosts_match_naive(self, name):
+        totals = _window_totals(REPEATING_HOSTS[name], 8)
+        assert totals[1] == REPEATING_HOSTS[name].n
+        assert totals[2:] == [sum(census_of(name, j).values()) for j in range(2, 9)]
+
+    @pytest.mark.parametrize("t,k", [
+        (random_tree(300, 1), 8),
+        (random_tree(2000, 5), 6),
+        (glue_power(make_tree(8, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7))), 8, 64), 8),
+        (convex_glue(make_path(12), make_star(9), 5, 1, 2, vertex_cap=3000), 5),
+        (make_millipede(3, 40), 7),
+        (make_star(30), 6),
+    ], ids=["random-300", "random-2000", "gluepower", "convex", "millipede", "star"])
+    def test_large_hosts_match_engine(self, t, k):
+        totals = _window_totals(t, k)
+        assert totals == [0] + [sum(count_all(t, j).per_type) for j in range(1, k + 1)]
+        assert [count_connected_subsets(t, j) for j in range(1, k + 1)] == totals[1:]
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match=f"^window size must be >= 1, got k={k}$"):
+            _window_totals(make_path(4), k)
+        with pytest.raises(ValueError, match=f"^window size must be >= 1, got k={k}$"):
+            count_connected_subsets(make_path(4), k)
+
+
 class TestFastCounters:
     def test_path_counts_on_path_host(self):
         for n in range(1, 15):
@@ -293,7 +333,8 @@ class TestFastCounters:
 
     @pytest.mark.parametrize("count", [
         lambda t: count_stars_fast(t, 3), count_y_fast, count_y_split, lambda t: count_all(t, 3),
-    ], ids=["stars", "y", "y-split", "engine"])
+        lambda t: count_connected_subsets(t, 3),
+    ], ids=["stars", "y", "y-split", "engine", "totals"])
     @pytest.mark.parametrize("t", NOT_TREES, ids=["cycle", "out-of-range"])
     def test_reject_what_the_engine_rejects(self, count, t):
         with pytest.raises(InvalidTreeError):
@@ -365,6 +406,18 @@ class TestDecimalFormatting:
         assert fraction_to_decimal(Fraction(1, 3), 12) == "0.333333333333"
         assert fraction_to_decimal(Fraction(1, 37), 12) == "0.0270270270270"
         assert fraction_to_decimal(Fraction(2, 3), 4) == "0.6667"
+
+    def test_caller_context_ignored(self):
+        # Rounding and traps of the caller's context do not leak in.
+        want = [fraction_to_decimal(Fraction(2, 3), 5), fraction_to_decimal(Fraction(-1, 7), 3)]
+        assert want == ["0.66667", "-0.143"]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 2
+            ctx.rounding = decimal.ROUND_DOWN
+            ctx.traps[decimal.Inexact] = True
+            ctx.traps[decimal.Rounded] = True
+            got = [fraction_to_decimal(Fraction(2, 3), 5), fraction_to_decimal(Fraction(-1, 7), 3)]
+        assert got == want
 
     def test_significant_not_fixed(self):
         # twelve significant digits, so small values keep their precision
