@@ -13,14 +13,14 @@ module needs no tree constructors and sits below counting and generators.
 Every entry is checked once, when the catalog keeps it: it carries the Walk
 of that pass and the canonical code it was deduplicated by, so window
 counts and canonical_code on an entry neither revalidate nor recode it.
-A candidate is coded from a copy of its parent's kept Walk lists with the
-new leaf appended, and the parent's degrees are read off the same lists,
-so no adjacency is rebuilt from an edge tuple here.  Its Tree is built
-only when its code is new; a candidate that duplicates a kept class is
-dropped unbuilt and unchecked.  A leaf whose sibling leaf in the same
-parent was already extended is skipped: swapping the two is an
-automorphism, so its candidate has a code already kept, and the first
-candidate of a code still wins, so no entry changes.
+A candidate is coded from its parent's kept Walk lists, shared but for a
+copy of the one that gains the new leaf, and the parent's degrees are
+read off the same lists, so no adjacency is rebuilt from an edge tuple.
+Its Tree is built only when its code is new; a candidate that duplicates
+a kept class is dropped unbuilt and unchecked.  A leaf whose sibling
+leaf in the same parent was already extended is skipped: swapping the
+two is an automorphism, so its candidate has a code already kept, and
+the first candidate of a code still wins, so no entry changes.
 
 There is no size cap here (1,301 classes at 13 vertices, 823,065 at 20):
 the command line checks every size against ``--max-k``.  The brute-force
@@ -86,8 +86,8 @@ def _classes(n: int, dmax: int | None) -> dict[bytes, Tree]:
                 if padj[v][0] in stems:
                     continue
                 stems.add(padj[v][0])
-            adj = [a[:] for a in padj]
-            adj[v].append(n - 1)
+            adj = padj[:]
+            adj[v] = padj[v] + [n - 1]
             adj.append([v])
             code = adjacency_code(adj)
             if code not in out:

@@ -98,18 +98,15 @@ def _describe(t: Tree) -> str:
     return f"n={t.n} code={code}"
 
 
+# Fields in declaration order (check, inputs, lhs, rhs, holds, slack,
+# equality, parts, note): keywords cost about 1 us more per report, and
+# verify --max-n 12 builds 13,070 reports.
 def _equality_report(check: str, inputs: str, lhs, rhs, note: str = "") -> VerificationReport:
-    return VerificationReport(
-        check=check, inputs=inputs, lhs=lhs, rhs=rhs,
-        holds=lhs == rhs, slack=rhs - lhs, note=note,
-    )
+    return VerificationReport(check, inputs, lhs, rhs, lhs == rhs, rhs - lhs, None, (), note)
 
 
 def _bound_report(check: str, inputs: str, lhs, rhs, note: str = "") -> VerificationReport:
-    return VerificationReport(
-        check=check, inputs=inputs, lhs=lhs, rhs=rhs,
-        holds=lhs <= rhs, slack=rhs - lhs, note=note,
-    )
+    return VerificationReport(check, inputs, lhs, rhs, lhs <= rhs, rhs - lhs, None, (), note)
 
 
 def degree_type_census(t: Tree) -> DegreeTypeCensus:
