@@ -8,9 +8,11 @@ time.perf_counter.  The samples of one case are interleaved: each repeat
 takes one sample per checkout, and the checkout that goes first rotates
 from repeat to repeat, so drift of the machine during a case falls on
 every checkout alike.  The medians, the quartiles and every sample go
-into the output file under each label, beside the checkout's git SHA
-(and whether its src differs from that commit), the Python version and
-nproc; other labels already in the file are kept.
+into the output file under each label, beside the checkout's git SHA,
+whether its src differs from that commit and the sha256 of `git diff
+HEAD -- src` (of the empty string when src is clean; untracked files are
+not in it), the Python version and nproc; other labels already in the
+file are kept.
 
 Usage, from the root of a checkout:
 
@@ -74,6 +76,7 @@ Cases:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -152,7 +155,9 @@ def git_state(src: Path) -> dict:
     if head.returncode != 0:
         raise SystemExit(f"bench: {src} is not a git checkout")
     modified = git("status", "--porcelain", "--", "src").stdout.strip() != ""
-    return {"sha": head.stdout.strip(), "src_modified": modified}
+    diff = git("diff", "HEAD", "--", "src").stdout
+    return {"sha": head.stdout.strip(), "src_modified": modified,
+            "src_diff_sha256": hashlib.sha256(diff.encode()).hexdigest()}
 
 
 def parse_runs(ap: argparse.ArgumentParser, specs: list[str]) -> dict[str, Path]:

@@ -22,12 +22,12 @@ by the test suite.
 
 Each check has a private function that makes its report from the counts
 it compares.  The public check_* functions count for one tree and call
-it; the suite runner counts each quantity once per corpus tree (the
-census, every Z_k from one pass, P_k and S_k per k, Y and its split)
-and hands the same numbers to every report that needs them; the lemma
-pass reads P_5 and Y of a max-degree-3 tree from the census pass, which
-keeps them under its canonical code.  Its corpus trees come from the
-catalogs, which keep each entry's checked walk and canonical code.
+it; each pass of the suite runner counts each quantity once per corpus
+tree (the census, every Z_k, P_k and S_k per k, and P_5, S_5, Y and its
+split in one five_window_counts pass) and hands the same numbers to
+every report that needs them.  The census identities compare against
+count_paths_fast(t, 5), a P_5 not read off degrees.  The corpus trees
+come from the catalogs, which keep each entry's checked walk and code.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .counting import (
     count_paths_fast,
     count_stars_fast,
     count_y_fast,
-    count_y_split,
+    five_window_counts,
 )
 from .generators import make_millipede, make_path, make_star
 from .trees import Tree, _loaded, canonical_code, checked_walk, make_tree, max_degree
@@ -327,14 +327,10 @@ def check_Y_36S(t: Tree) -> VerificationReport:
     endpoint of degree >= 4 are covered by 36S; the rest obey the
     small-degree budget P + 4 on their own.
     """
-    return _Y_36S(
-        _describe(t), count_paths_fast(t, 5), count_stars_fast(t, 5), count_y_fast(t),
-        count_y_split(t),
-    )
+    return _Y_36S(_describe(t), *five_window_counts(t))
 
 
-def _Y_36S(inputs: str, P: int, S: int, Y: int, split: tuple[int, int]) -> VerificationReport:
-    y_small, y_large = split
+def _Y_36S(inputs: str, P: int, S: int, Y: int, y_small: int, y_large: int) -> VerificationReport:
     parts = (
         _bound_report("Y_large_36S", inputs, y_large, 36 * S),
         _bound_report("Y_small_P4", inputs, y_small, P + 4),
@@ -388,15 +384,13 @@ def check_millipede_upper(k: int, length: int) -> VerificationReport:
     )
 
 
-def _census_checks_for(t: Tree, shared: dict) -> list[VerificationReport]:
-    code = canonical_code(t)
+def _census_checks_for(t: Tree) -> list[VerificationReport]:
     inputs = _describe(t)
     c = degree_type_census(t)
     P = count_paths_fast(t, 5)
-    Y = count_y_fast(t)
-    shared[code] = (P, Y)
+    Y = five_window_counts(t)[2]
     identity = _PY_identity(inputs, c, P, Y)
-    if code in PY_IDENTITY_EXCEPTIONS:
+    if canonical_code(t) in PY_IDENTITY_EXCEPTIONS:
         # Only the universally valid part applies to the three small trees.
         identity = identity.parts[2]
     return [
@@ -407,30 +401,28 @@ def _census_checks_for(t: Tree, shared: dict) -> list[VerificationReport]:
     ]
 
 
-def _lemma_checks_for(t: Tree, ks: tuple[int, ...], shared: dict) -> list[VerificationReport]:
+def _lemma_checks_for(t: Tree, ks: tuple[int, ...]) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     desc = _describe(t)
     D = max_degree(t)
-    known = shared.get(canonical_code(t))
-    paths: dict[int, int] = {} if known is None else {5: known[0]}
-    stars: dict[int, int] = {}
+    five = five_window_counts(t)
     # At least 1: catalog_count rejects a k below 1 first, in the loop.
     totals = _window_totals(t, max((1, *ks)))
     for k in ks:
         inputs = f"{desc} k={k}"
         N = catalog_count(k)
         Z = totals[k]
-        P = paths[k] = paths[k] if k in paths else count_paths_fast(t, k)
-        S = stars[k] = count_stars_fast(t, k)
+        if k == 5:
+            P, S = five[:2]
+        else:
+            P = count_paths_fast(t, k)
+            S = count_stars_fast(t, k)
         if t.n >= 2 and D <= k - 2:
             reports.append(_smalldeg(inputs, k, N, Z, P))
         reports.append(_general(inputs, k, N, Z, P, S))
-    P5 = paths[5] if 5 in paths else count_paths_fast(t, 5)
-    S5 = stars[5] if 5 in stars else count_stars_fast(t, 5)
-    Y = count_y_fast(t) if known is None else known[1]
     if 2 <= t.n and D <= 3:
-        reports.append(_Y_P4(desc, P5, Y))
-    reports.append(_Y_36S(desc, P5, S5, Y, count_y_split(t)))
+        reports.append(_Y_P4(desc, five[0], five[2]))
+    reports.append(_Y_36S(desc, *five))
     return reports
 
 
@@ -452,15 +444,14 @@ def run_suite(
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
     reports: list[VerificationReport] = []
-    shared: dict[bytes, tuple[int, int]] = {}  # code -> (P_5, Y)
     if suite in ("census", "all"):
         for n in range(2, max_n + 1):
             for t in enumerate_trees_bounded_degree(n, 3):
-                reports.extend(_census_checks_for(t, shared))
+                reports.extend(_census_checks_for(t))
     if suite in ("lemmas", "all"):
         for n in range(2, max_n + 1):
             for t in enumerate_trees(n).entries:
-                reports.extend(_lemma_checks_for(t, ks, shared))
+                reports.extend(_lemma_checks_for(t, ks))
         for k in (6, 8):
             for length in (10, 20):
                 reports.append(check_millipede_upper(k, length))

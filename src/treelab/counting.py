@@ -3,9 +3,10 @@
 A window of a tree is a set of k vertices whose induced subgraph is
 connected; in a tree that induced subgraph is itself a tree, so every
 window has a well-defined shape.  This module counts windows by shape
-against the catalog order, and provides closed-form fast counters for the
-three 5-vertex shapes: P (paths), S (stars), and Y (the fork, a degree-3
-center with one branch of two vertices).
+against the catalog order, counts paths and stars of any size in linear
+time, and counts the three 5-vertex shapes, P (paths), S (stars) and Y
+(the fork, a degree-3 center with one branch of two vertices), in one
+local pass (five_window_counts).
 
 Windows are counted, never listed, by one leaf-to-root dynamic program
 over rooted shapes (after Szekely and Wang, "On subtrees of trees"): a
@@ -350,34 +351,44 @@ def count_stars_fast(t: Tree, k: int) -> int:
     return sum(math.comb(len(nbrs), k - 1) for nbrs in checked_walk(t).adj)
 
 
-def _y_edge_term(da: int, db: int) -> int:
-    # Fork windows charged to the center-to-branch edge: two leaf neighbors
-    # chosen at one endpoint, one continuation beyond the other endpoint.
-    return math.comb(da - 1, 2) * (db - 1) + math.comb(db - 1, 2) * (da - 1)
+def five_window_counts(t: Tree) -> tuple[int, int, int, int, int]:
+    """(P, S, Y, y_small, y_large): the 5-vertex path, star and fork
+    windows of t, with the forks split as Y = y_small + y_large.
+
+    A vertex of degree d whose neighbours have degrees a + 1 is the middle
+    of a * a' paths per pair of neighbours, the center of C(d, 4) stars,
+    and the center of C(d - 1, 2) * a forks per branch neighbour.  A fork
+    is large when its center or branch vertex has degree >= 4; the large
+    ones are covered by 36S, the small ones obey the budget P + 4.
+    """
+    adj = checked_walk(t).adj
+    deg = [len(nbrs) for nbrs in adj]
+    P2 = S = y_small = y_large = 0
+    for nbrs in adj:
+        d = len(nbrs)
+        if d < 2:
+            continue
+        # A = sum of a, B = sum of a^2, wide = the part of A from
+        # neighbours of degree >= 4.
+        A = B = wide = 0
+        for u in nbrs:
+            a = deg[u] - 1
+            A += a
+            B += a * a
+            if a >= 3:
+                wide += a
+        P2 += A * A - B
+        if d >= 3:
+            forks = math.comb(d - 1, 2)
+            if d >= 4:
+                S += math.comb(d, 4)
+                y_large += forks * A
+            else:
+                y_small += forks * (A - wide)
+                y_large += forks * wide
+    return P2 // 2, S, y_small + y_large, y_small, y_large
 
 
 def count_y_fast(t: Tree) -> int:
-    """Number of 5-vertex fork windows (Y), summed edge by edge."""
-    adj = checked_walk(t).adj
-    return sum(_y_edge_term(len(adj[u]), len(adj[v])) for u, v in t.edges)
-
-
-def count_y_split(t: Tree) -> tuple[int, int]:
-    """Fork windows split by the charged edge's larger endpoint degree.
-
-    Returns (y_small, y_large): an edge counts as large when either
-    endpoint has degree at least 4, small otherwise.  The two parts sum to
-    count_y_fast and feed the two halves of the 36S bound check.
-    """
-    adj = checked_walk(t).adj
-    small = 0
-    large = 0
-    for u, v in t.edges:
-        du, dv = len(adj[u]), len(adj[v])
-        term = _y_edge_term(du, dv)
-        if max(du, dv) >= 4:
-            large += term
-        else:
-            small += term
-    return small, large
-
+    """Number of 5-vertex fork windows (Y)."""
+    return five_window_counts(t)[2]

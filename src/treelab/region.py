@@ -29,12 +29,7 @@ from .config import (
     DEFAULT_SCHEDULE,
     DEFAULT_VERTEX_CAP,
 )
-from .counting import (
-    count_paths_fast,
-    count_stars_fast,
-    count_y_fast,
-    fraction_to_decimal,
-)
+from .counting import five_window_counts, fraction_to_decimal
 from .generators import glue_power_counts, glue_power_size
 from .trees import Tree, canonical_code, max_degree
 
@@ -75,11 +70,10 @@ def _five_window_counts(t: Tree) -> tuple[int, int, int]:
     """(P, S, Z) for the 5-vertex windows of t, with Z = P + S + Y.
 
     There are exactly three 5-vertex shapes (path, star, fork), so the
-    fast counters give the whole window total.
+    local counts give the whole window total.
     """
-    P = count_paths_fast(t, 5)
-    S = count_stars_fast(t, 5)
-    Z = P + S + count_y_fast(t)
+    P, S, Y, _, _ = five_window_counts(t)
+    Z = P + S + Y
     if Z == 0:
         raise ValueError(f"tree on {t.n} vertices has no 5-vertex windows")
     return P, S, Z
@@ -208,7 +202,8 @@ def conjecture_scan(max_n: int = DEFAULT_SCAN_MAX_N) -> ScanReport:
     for n in range(2, max_n + 1):
         for t in enumerate_trees(n).entries:
             examined += 1
-            value = count_y_fast(t) - 9 * count_stars_fast(t, 5) - count_paths_fast(t, 5)
+            P, S, Y, _, _ = five_window_counts(t)
+            value = Y - 9 * S - P
             code = canonical_code(t)
             if best is None or value > best[0] or (value == best[0] and code < best[1]):
                 best = (value, code, t)

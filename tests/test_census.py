@@ -245,9 +245,9 @@ class TestSuite:
 
         monkeypatch.setattr(trees, "adjacency_code", no_code)
         monkeypatch.setattr(counting, "adjacency_code", no_code)
-        # The 5-vertex path and fork counts, per corpus tree.
+        # The 5-window counts, per corpus tree.
         per_tree: Counter = Counter()
-        for name in ("count_paths_fast", "count_y_fast"):
+        for name in ("five_window_counts", "count_paths_fast", "count_stars_fast", "count_y_fast"):
             inner = getattr(census, name)
 
             def counted(t, *k, inner=inner, name=name):
@@ -269,26 +269,37 @@ class TestSuite:
         assert checks <= entries + millipedes
         assert calls["_rooted_tally"] == 0
         lemma_trees = [code for n in range(2, 13) for code in enumerate_trees(n).codes]
+        census_trees = [
+            canonical_code(t) for n in range(2, 13) for t in enumerate_trees_bounded_degree(n, 3)
+        ]
         assert calls["_window_totals"] == len(lemma_trees) + millipedes
-        for name in ("count_paths_fast", "count_y_fast"):
-            assert {code: c for (f, code), c in per_tree.items() if f == name} == dict.fromkeys(
-                lemma_trees, 1
-            )
+
+        def per_code(name):
+            return {code: c for (f, code), c in per_tree.items() if f == name}
+
+        # One pass per census tree and one per lemma tree; P_5 is counted
+        # apart from degrees in the census pass only.
+        assert per_code("five_window_counts") == Counter(lemma_trees + census_trees)
+        assert per_code("count_paths_fast") == dict.fromkeys(census_trees, 1)
+        assert per_code("count_stars_fast") == per_code("count_y_fast") == {}
 
     @pytest.mark.parametrize("ks", [(5, 6), (6,), (3, 8)])
     def test_shared_counts_change_no_report(self, ks):
         assert run_suite("all", 9, ks) == run_suite("census", 9, ks) + run_suite("lemmas", 9, ks)
 
     def test_lemma_suite_counts_P5_and_Y_itself(self, count_calls):
-        # With no census pass to share them, the lemma pass counts both.
+        # One 5-window pass per tree gives P_5, S_5, Y and its split.
+        count_calls(census, "five_window_counts")
         count_calls(census, "count_y_fast")
+        count_calls(census, "count_stars_fast")
         calls = count_calls(census, "count_paths_fast")
         reports = run_suite("lemmas", 9, (6,))
         lemma_trees = sum(len(enumerate_trees(n).entries) for n in range(2, 10))
         assert all(r.holds for r in reports)
-        assert calls["count_y_fast"] == lemma_trees
-        # k = 6 and k = 5 per tree, plus k = 6 and 8 per millipede.
-        assert calls["count_paths_fast"] == 2 * lemma_trees + 4
+        assert calls["five_window_counts"] == lemma_trees
+        assert calls["count_y_fast"] == 0
+        # k = 6 per tree, plus k = 6 and 8 per millipede.
+        assert calls["count_paths_fast"] == calls["count_stars_fast"] == lemma_trees + 4
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

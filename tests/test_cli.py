@@ -400,14 +400,19 @@ class TestVerifyText:
 
 
 class TestPinnedOutputs:
-    # sha256 of stdout: catalog order, every verify report and its text
-    # stay byte for byte what they were when these were recorded.
+    # sha256 of stdout: catalog order, every verify report and its text,
+    # the scan witness and the region data stay byte for byte what they
+    # were when these were recorded.
     @pytest.mark.parametrize("argv,digest", [
         (("verify", "--max-n", "12"),
          "582548c1f45ba92384d8be48cacd39ddabccfac61a2b62d525f4e7cd7bd1959d"),
         (("enum", "--k", "12"),
          "c40d85b6076fe4afc80065efe184aadff839924f4a0a216e3ba3f3b29e022bf5"),
-    ], ids=["verify-12", "enum-12"])
+        (("scan",),
+         "d2f7edbd81d8dc5c2525275a619b5a7eb1e2c4bf930b836f9106e4edb1f8fbc0"),
+        (("region",),
+         "550323539144b5886bec3487625afc21ca05c996fc0540def8b97849b72e4e6d"),
+    ], ids=["verify-12", "enum-12", "scan", "region"])
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
         assert code == 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import decimal
 import functools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from treelab.counting import (
     count_paths_fast,
     count_stars_fast,
     count_y_fast,
-    count_y_split,
+    five_window_counts,
     fraction_to_decimal,
     profile,
 )
@@ -90,8 +91,6 @@ class TestManyWindows:
     """Hosts with far more windows than vertices; counting does not list them."""
 
     def test_star_host_eight_windows(self):
-        import math
-
         cat = enumerate_trees(8)
         rec = count_all(make_star(60), 8)
         assert rec.per_type[cat.star_index] == math.comb(59, 7)
@@ -288,8 +287,6 @@ class TestFastCounters:
                 assert count_paths_fast(make_path(n), k) == expected
 
     def test_star_counts_on_star_host(self):
-        import math
-
         for n in range(2, 12):
             t = make_star(n)
             assert count_stars_fast(t, 1) == n
@@ -318,8 +315,8 @@ class TestFastCounters:
         for t in small_hosts[::3]:
             if t.n < 2:
                 continue
-            small, large = count_y_split(t)
-            assert small + large == count_y_fast(t)
+            _, _, Y, small, large = five_window_counts(t)
+            assert small + large == Y == count_y_fast(t)
             if max_degree(t) <= 3:
                 assert large == 0
 
@@ -327,18 +324,63 @@ class TestFastCounters:
     @given(st.integers(5, 40), st.integers(0, 2**32 - 1))
     def test_y_split_property(self, n, seed):
         t = random_tree(n, seed)
-        small, large = count_y_split(t)
+        _, _, Y, small, large = five_window_counts(t)
         assert small >= 0 and large >= 0
-        assert small + large == count_y_fast(t)
+        assert small + large == Y
+        assert (small, large) == edge_rule_split(t)
 
     @pytest.mark.parametrize("count", [
-        lambda t: count_stars_fast(t, 3), count_y_fast, count_y_split, lambda t: count_all(t, 3),
+        lambda t: count_stars_fast(t, 3), count_y_fast, five_window_counts, lambda t: count_all(t, 3),
         lambda t: count_connected_subsets(t, 3),
-    ], ids=["stars", "y", "y-split", "engine", "totals"])
+    ], ids=["stars", "y", "five-window", "engine", "totals"])
     @pytest.mark.parametrize("t", NOT_TREES, ids=["cycle", "out-of-range"])
     def test_reject_what_the_engine_rejects(self, count, t):
         with pytest.raises(InvalidTreeError):
             count(t)
+
+
+def edge_rule_split(t):
+    """(y_small, y_large) summed edge by edge: the forks centred at one
+    endpoint of an edge and branching through the other, large when either
+    endpoint has degree at least 4."""
+    deg = [0] * t.n
+    for u, v in t.edges:
+        deg[u] += 1
+        deg[v] += 1
+    small = large = 0
+    for u, v in t.edges:
+        du, dv = deg[u], deg[v]
+        term = math.comb(du - 1, 2) * (dv - 1) + math.comb(dv - 1, 2) * (du - 1)
+        if max(du, dv) >= 4:
+            large += term
+        else:
+            small += term
+    return small, large
+
+
+def five_window_oracle(t):
+    """(P, S, Y) from the general path and star counters and the engine."""
+    fork = enumerate_trees(5).index_of[canonical_code(Y_SHAPE)] - 1
+    return count_paths_fast(t, 5), count_stars_fast(t, 5), count_all(t, 5).per_type[fork]
+
+
+class TestFiveWindowCounts:
+    def test_catalog_trees_match_counters(self):
+        for n in range(2, 13):
+            for t in enumerate_trees(n).entries:
+                P, S, Y, small, large = five_window_counts(t)
+                assert (P, S, Y) == five_window_oracle(t)
+                assert (small, large) == edge_rule_split(t)
+                if max_degree(t) <= 3:
+                    assert large == 0
+
+    @pytest.mark.parametrize("n,seed", [(20000, 1), (100000, 2)])
+    def test_random_hosts_match_counters(self, n, seed):
+        t = random_tree(n, seed)
+        P, S, Y, small, large = five_window_counts(t)
+        assert (P, S, Y) == five_window_oracle(t)
+        assert (small, large) == edge_rule_split(t)
+        assert large > 0
 
 
 class TestInvariants:
@@ -365,8 +407,6 @@ class TestInvariants:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 14), st.integers(0, 2**32 - 1), st.integers(2, 6))
     def test_star_floor(self, n, seed, k):
-        import math
-
         t = random_tree(n, seed)
         if k > n:
             return
