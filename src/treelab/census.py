@@ -323,9 +323,9 @@ def _Y_P4(inputs: str, P: int, Y: int) -> VerificationReport:
 def check_Y_36S(t: Tree) -> VerificationReport:
     """Fork windows bounded by stars and paths: Y <= 36S + P + 4, any tree.
 
-    Parts: the split halves.  Fork windows charged to edges with an
-    endpoint of degree >= 4 are covered by 36S; the rest obey the
-    small-degree budget P + 4 on their own.
+    Parts: the split halves.  Fork windows whose center or branch vertex
+    has degree >= 4 are covered by 36S; the rest obey the small-degree
+    budget P + 4 on their own.
     """
     return _Y_36S(_describe(t), *five_window_counts(t))
 
