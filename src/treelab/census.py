@@ -405,7 +405,7 @@ def _lemma_checks_for(t: Tree, ks: tuple[int, ...]) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     desc = _describe(t)
     D = max_degree(t)
-    five = five_window_counts(t)
+    P5, S5, Y, y_small, y_large = five_window_counts(t)
     # At least 1: catalog_count rejects a k below 1 first, in the loop.
     totals = _window_totals(t, max((1, *ks)))
     for k in ks:
@@ -413,16 +413,15 @@ def _lemma_checks_for(t: Tree, ks: tuple[int, ...]) -> list[VerificationReport]:
         N = catalog_count(k)
         Z = totals[k]
         if k == 5:
-            P, S = five[:2]
+            P, S = P5, S5
         else:
-            P = count_paths_fast(t, k)
-            S = count_stars_fast(t, k)
+            P, S = count_paths_fast(t, k), count_stars_fast(t, k)
         if t.n >= 2 and D <= k - 2:
             reports.append(_smalldeg(inputs, k, N, Z, P))
         reports.append(_general(inputs, k, N, Z, P, S))
     if 2 <= t.n and D <= 3:
-        reports.append(_Y_P4(desc, five[0], five[2]))
-    reports.append(_Y_36S(desc, *five))
+        reports.append(_Y_P4(desc, P5, Y))
+    reports.append(_Y_36S(desc, P5, S5, Y, y_small, y_large))
     return reports
 
 
