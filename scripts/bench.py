@@ -71,6 +71,12 @@ Cases:
                       walk's adjacency lists built untimed: the shape whose
                       subtree codes, joined at every vertex, are longest
                       for its size
+  public_checks_in_memory
+                      check_PY_identity, check_Y_P4, check_Y_36S,
+                      projection_point and check_region_shadow on each of
+                      2,000 random_tree_bounded_degree(60, 3, rng) trees,
+                      built in memory: public checks on trees no file or
+                      catalog handed over
 """
 
 from __future__ import annotations
@@ -118,12 +124,18 @@ CASES = {
     "z_total_k8_random": ("t = load_tree(RANDOM)", "count_connected_subsets(t, 8)"),
     "z_total_k5_convex": ("t = load_tree(HOST)", "count_connected_subsets(t, 5)"),
     "canonical_code_path_20000": ("adj = checked_walk(make_path(20000)).adj", "adjacency_code(adj)"),
+    "public_checks_in_memory": ("rng = random.Random(0)\n"
+                                "ts = [random_tree_bounded_degree(60, 3, rng) for _ in range(2000)]",
+                                "[f(t) for t in ts for f in (check_PY_identity, check_Y_P4, check_Y_36S,"
+                                " projection_point, check_region_shadow)]"),
 }
 
 PRELUDE = """\
-import os, sys, time
+import os, random, sys, time
 sys.path.insert(0, {src!r})
 from treelab import cli, count_all, convex_glue, glue_power, make_path, make_star, random_tree, run_suite
+from treelab import (check_PY_identity, check_region_shadow, check_Y_36S, check_Y_P4, projection_point,
+                     random_tree_bounded_degree)
 from treelab.catalog import enumerate_trees, enumerate_trees_bounded_degree
 from treelab.counting import count_connected_subsets
 from treelab.trees import adjacency_code, checked_walk, dump_tree, load_tree, make_tree

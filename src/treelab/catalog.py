@@ -10,9 +10,9 @@ makes catalog positions stable across runs and platforms.  The path and the
 star are picked from the catalog's own classes by their degrees, so this
 module needs no tree constructors and sits below counting and generators.
 
-Every entry is checked once, when the catalog keeps it: it carries the Walk
-of that pass and the canonical code it was deduplicated by, so window
-counts and canonical_code on an entry neither revalidate nor recode it.
+Every entry is checked once, when the catalog keeps it, and keeps the
+canonical code it was deduplicated by, as any Tree keeps its Walk and code
+(trees.checked_walk), so canonical_code on an entry never recodes it.
 A candidate is coded from its parent's kept Walk lists, shared but for a
 copy of the one that gains the new leaf, and the parent's degrees are
 read off the same lists, so no adjacency is rebuilt from an edge tuple.
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .trees import Tree, _loaded, adjacency_code, checked_walk, max_degree
+from .trees import Tree, _keep_code, adjacency_code, checked_walk, max_degree
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,9 @@ def _classes(n: int, dmax: int | None) -> dict[bytes, Tree]:
     """
     if n == 1:
         code = adjacency_code([[]])
-        return {code: _loaded(Tree(1, ()), code)}
+        t = _keep_code(Tree(1, ()), code)
+        checked_walk(t)
+        return {code: t}
     out: dict[bytes, Tree] = {}
     for _, parent in sorted(_classes(n - 1, dmax).items()):
         padj = checked_walk(parent).adj
@@ -91,7 +93,8 @@ def _classes(n: int, dmax: int | None) -> dict[bytes, Tree]:
             adj.append([v])
             code = adjacency_code(adj)
             if code not in out:
-                out[code] = _loaded(Tree(n, parent.edges + ((v, n - 1),)), code)
+                out[code] = t = _keep_code(Tree(n, parent.edges + ((v, n - 1),)), code)
+                checked_walk(t)
     return out
 
 

@@ -47,7 +47,7 @@ from .counting import (
     five_window_counts,
 )
 from .generators import make_millipede, make_path, make_star
-from .trees import Tree, _loaded, canonical_code, checked_walk, make_tree, max_degree
+from .trees import Tree, canonical_code, checked_walk, make_tree, max_degree
 
 
 @dataclass(frozen=True)
@@ -356,8 +356,7 @@ def check_millipede_upper(k: int, length: int) -> VerificationReport:
         raise ValueError(f"needs even k >= 6, got {k}")
     if length < 3:
         raise ValueError(f"needs length >= 3, got {length}")
-    # Checked once, keeping its walk for both window counters.
-    t = _loaded(make_millipede(k - 4, length))
+    t = make_millipede(k - 4, length)
     inputs = f"millipede(d={k - 4}, length={length}) k={k}"
     S = count_stars_fast(t, k)
     P = count_paths_fast(t, k)

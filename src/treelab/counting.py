@@ -29,12 +29,12 @@ whose states or keys do not repeat fills the bounded tables and merges
 vertex by vertex, in memory bounded as before.
 
 The DP, Z and the path counter run leaf to root over the reverse of the
-tree's checked walk (trees.checked_walk): a host read from a file brings
-the adjacency lists and parent-before-child order its validation built,
-and a tree built in memory is validated once per call.  A vertex's done
-neighbours are its children, so no parent array is needed, and the shared
-lists are only read.  The star and fork counters read degrees off the
-same lists, so every counter rejects an invalid tree.
+tree's checked walk (trees.checked_walk): the adjacency lists and
+parent-before-child order that the tree's one validation built and that
+it keeps.  A vertex's done neighbours are its children, so no parent
+array is needed, and the shared lists are only read.  The star and fork
+counters read degrees off the same lists.  Every counter takes the walk
+before any shortcut, so every counter rejects an invalid tree.
 
 All counts are exact big integers, all densities exact fractions; decimal
 strings are rendered only at the output boundary.
@@ -86,6 +86,7 @@ def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]
     """
     if k < 1:
         raise ValueError(f"window size must be >= 1, got k={k}")
+    adj, order = checked_walk(t)
     kids: list[tuple[int, ...]] = [()]
     if k == 1:
         return {0: t.n}, kids
@@ -102,7 +103,6 @@ def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]
     interned: dict[frozenset, int] = {}
     memo: dict[tuple, list] = {}
     cap = _INTERN_CAP if t.n >= _INTERN_MIN_N else 0
-    adj, order = checked_walk(t)
     lone = {0: 1}
     # below[v]: v's state, an interned id or a plain dict, kept until v's
     # parent, whose done neighbours are exactly its children.
@@ -304,12 +304,10 @@ def count_paths_fast(t: Tree, k: int) -> int:
     """
     if k < 1:
         raise ValueError(f"window size must be >= 1, got k={k}")
+    adj, order = checked_walk(t)
     n = t.n
-    if k == 1:
-        return n
     if n < k:
         return 0
-    adj, order = checked_walk(t)
     # down[c] is kept until c's parent, whose done neighbours are exactly
     # its children.
     down: list = [None] * n
@@ -344,11 +342,10 @@ def count_stars_fast(t: Tree, k: int) -> int:
     """
     if k < 1:
         raise ValueError(f"window size must be >= 1, got k={k}")
-    if k == 1:
-        return t.n
-    if k == 2:
-        return t.n - 1
-    return sum(math.comb(len(nbrs), k - 1) for nbrs in checked_walk(t).adj)
+    adj = checked_walk(t).adj
+    if k <= 2:
+        return t.n - k + 1
+    return sum(math.comb(len(nbrs), k - 1) for nbrs in adj)
 
 
 def five_window_counts(t: Tree) -> tuple[int, int, int, int, int]:

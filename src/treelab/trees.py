@@ -4,17 +4,15 @@ A tree on n vertices is stored as an immutable pair (n, edges) with vertex
 labels 0..n-1.  Validation is one pass that builds the adjacency lists
 while it checks them and walks the tree from vertex 0; its result, a Walk,
 is the lists plus the order in which the walk visited the vertices, each
-after its parent.  A tree read by parse_tree_text or tree_from_json keeps
-its Walk, and so does every catalog entry, which also keeps the canonical
-code the catalog deduplicated it by; a loaded host or catalog tree is
-checked, laid out and coded once.  checked_walk hands the Walk to the
-window counters and canonical codes, and reruns the pass, without storing
-it, for a tree built in memory; canonical_code returns a kept code before
-it builds one.  Nothing else is cached on the object: degrees, leaves and
-centers are read off the Walk on demand, so each rejects an edge list
-that is not a tree.  The checked pass is the library's only builder of
-adjacency lists from an edge tuple; the catalog codes its candidates
-from copies of their parent's kept lists.
+after its parent.  checked_walk keeps the Walk on the Tree it checked and
+canonical_code keeps the code it builds, whoever built the tree, so every
+Tree is checked and coded at most once; a catalog entry keeps the code
+the catalog deduplicated it by from the start.  Only the Walk and the
+code are kept on the object: degrees, leaves and centers are read off the
+Walk on demand, so each rejects an edge list that is not a tree.  The
+checked pass is the library's only builder of adjacency lists from an
+edge tuple; the catalog codes its candidates from copies of their
+parent's kept lists.
 
 Canonical form convention: root the tree at its center; a bicentral tree is
 rooted at each endpoint of the central edge and the lexicographically smaller
@@ -63,9 +61,9 @@ class Tree:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    # The Walk of a tree read from a file or kept by the catalog, and the
-    # canonical code of a catalog entry; None for a tree built in memory.
-    # Not part of the value: equal trees compare equal with or without them.
+    # The Walk of the tree's first check and its canonical code, None until
+    # they are first built.  Not part of the value: equal trees compare
+    # equal with or without them.
     _walk: Walk | None = field(default=None, init=False, repr=False, compare=False)
     _code: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -91,14 +89,15 @@ def validate(t: Tree) -> str | None:
 
 
 def checked_walk(t: Tree) -> Walk:
-    """The Walk of t: the one a loaded tree keeps, else a fresh pass of
-    validate() whose result is not stored.  Raises InvalidTreeError for
-    an invalid tree.  Callers share a kept Walk and must not mutate it."""
+    """The Walk of t, from the pass of validate() on its first call; t keeps
+    it for every later call.  Raises InvalidTreeError for an invalid tree.
+    Callers share the kept Walk and must not mutate it."""
     walk = t._walk
     if walk is None:
         problem, walk = _check(t)
         if problem is not None:
             raise InvalidTreeError(problem)
+        object.__setattr__(t, "_walk", walk)
     return walk
 
 
@@ -138,10 +137,8 @@ def _check(t: Tree) -> tuple[str | None, Walk | None]:
     return None, Walk(adj, order)
 
 
-def _loaded(t: Tree, code: bytes | None = None) -> Tree:
-    # A parsed or catalog tree, checked, keeping its Walk and the canonical
-    # code the caller already built for it, if any.
-    object.__setattr__(t, "_walk", checked_walk(t))
+def _keep_code(t: Tree, code: bytes) -> Tree:
+    # t, keeping code, which the caller built from t's lists, as its code.
     object.__setattr__(t, "_code", code)
     return t
 
@@ -207,6 +204,7 @@ def canonical_code(t: Tree) -> bytes:
     code = t._code
     if code is None:
         code = adjacency_code(checked_walk(t).adj)
+        _keep_code(t, code)
     return code
 
 
@@ -260,7 +258,9 @@ def tree_from_json(obj) -> Tree:
     and edges a list of two-element lists; anything else raises
     InvalidTreeError, as do the tree invariants of validate().
     """
-    return _loaded(_edges_from_json(obj))
+    t = _edges_from_json(obj)
+    checked_walk(t)
+    return t
 
 
 def _edges_from_json(obj) -> Tree:
@@ -305,18 +305,19 @@ def parse_tree_text(text: str) -> Tree:
         del text
         t = _edges_from_json(obj)
         del obj
-        return _loaded(t)
-    try:
-        parents = [int(tok) for tok in text.split()]
-    except ValueError:
-        raise InvalidTreeError("compact tree form must be whitespace-separated integers") from None
-    n = len(parents) + 1
-    edges = []
-    for i, p in enumerate(parents, start=1):
-        if not 0 <= p < i:
-            raise InvalidTreeError(f"parent {p} of vertex {i} must satisfy 0 <= p < {i}")
-        edges.append((p, i))
-    return _loaded(Tree(n, tuple(edges)))
+    else:
+        try:
+            parents = [int(tok) for tok in text.split()]
+        except ValueError:
+            raise InvalidTreeError("compact tree form must be whitespace-separated integers") from None
+        edges = []
+        for i, p in enumerate(parents, start=1):
+            if not 0 <= p < i:
+                raise InvalidTreeError(f"parent {p} of vertex {i} must satisfy 0 <= p < {i}")
+            edges.append((p, i))
+        t = Tree(len(parents) + 1, tuple(edges))
+    checked_walk(t)
+    return t
 
 
 def load_tree(path) -> Tree:

@@ -62,7 +62,7 @@ from treelab.generators import (
     random_tree_bounded_degree,
 )
 from treelab.region import PlanePoint, check_region_shadow, line_margin, m_point
-from treelab.trees import _loaded, canonical_code, lowest_leaf, max_degree
+from treelab.trees import canonical_code, lowest_leaf, max_degree
 
 
 def conclude(number: int, text: str, ok: bool) -> None:
@@ -163,8 +163,7 @@ def test_criterion_04_census_identities():
     ok = ok and failing == PY_IDENTITY_EXCEPTIONS
     rng = random.Random(4)
     for _ in range(10_000):
-        # Checked once, keeping its walk for the code and the path count.
-        t = _loaded(random_tree_bounded_degree(rng.randrange(15, 121), 3, rng))
+        t = random_tree_bounded_degree(rng.randrange(15, 121), 3, rng)
         if not all(r.holds for r in _census_identity_reports(t)):
             ok = False
     conclude(4, "census identities hold; exception set is exactly frozen", ok)

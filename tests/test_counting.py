@@ -40,7 +40,9 @@ from treelab.generators import (
     random_tree,
 )
 from treelab import trees
-from treelab.trees import InvalidTreeError, canonical_code, dump_tree, load_tree, make_tree, max_degree
+from treelab.trees import (
+    InvalidTreeError, canonical_code, degrees, dump_tree, load_tree, make_tree, max_degree,
+)
 
 Y_SHAPE = make_tree(5, ((0, 1), (0, 2), (0, 3), (3, 4)))
 
@@ -331,8 +333,11 @@ class TestFastCounters:
 
     @pytest.mark.parametrize("count", [
         lambda t: count_stars_fast(t, 3), count_y_fast, five_window_counts, lambda t: count_all(t, 3),
-        lambda t: count_connected_subsets(t, 3),
-    ], ids=["stars", "y", "five-window", "engine", "totals"])
+        lambda t: count_connected_subsets(t, 3), lambda t: count_all(t, 1), lambda t: profile(t, 1),
+        lambda t: count_paths_fast(t, 1), lambda t: count_paths_fast(t, 5),
+        lambda t: count_stars_fast(t, 1), lambda t: count_stars_fast(t, 2),
+    ], ids=["stars", "y", "five-window", "engine", "totals", "engine-k1", "profile-k1", "paths-k1",
+            "paths-k5", "stars-k1", "stars-k2"])
     @pytest.mark.parametrize("t", NOT_TREES, ids=["cycle", "out-of-range"])
     def test_reject_what_the_engine_rejects(self, count, t):
         with pytest.raises(InvalidTreeError):
@@ -466,7 +471,8 @@ class TestDecimalFormatting:
 
 
 class TestLoadedHosts:
-    """A host read from a file counts with the walk its validation built."""
+    """A host counts with the walk its one validation built, whether it
+    was read from a file or built in memory."""
 
     HOSTS = (random_tree(300, 11), make_millipede(3, 20), make_star(12))
 
@@ -503,3 +509,15 @@ class TestLoadedHosts:
         calls.clear()
         count_all(host, 6)
         assert calls == [200]
+
+    def test_in_memory_tree_is_checked_once(self, count_calls):
+        enumerate_trees(6)
+        calls = count_calls(trees, "_check")
+        t = random_tree(300, 5)
+        degrees(t)
+        canonical_code(t)
+        count_all(t, 6)
+        count_paths_fast(t, 6)
+        count_connected_subsets(t, 6)
+        five_window_counts(t)
+        assert calls["_check"] == 1

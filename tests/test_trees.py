@@ -454,15 +454,16 @@ class TestCheckedWalk:
         position = {v: i for i, v in enumerate(order)}
         assert all(position[parent[v]] < position[v] for v in order[1:])
 
-    def test_loaded_tree_keeps_its_walk(self, tmp_path):
+    def test_tree_keeps_its_walk(self, tmp_path):
         t = random_tree(40, 3)
         dump_tree(t, tmp_path / "t.json")
         loaded = load_tree(tmp_path / "t.json")
         assert checked_walk(loaded) is checked_walk(loaded)
         assert checked_walk(loaded) == checked_walk(t)
-        # The walk is not part of the value, and an in-memory tree stores none.
+        # An in-memory tree keeps its walk after its first check, and the
+        # walk is not part of the value.
+        assert t._walk is checked_walk(t)
         assert loaded == t and hash(loaded) == hash(t) and repr(loaded) == repr(t)
-        assert t._walk is None
 
     def test_invalid_tree_raises(self):
         with pytest.raises(InvalidTreeError, match="not connected"):
