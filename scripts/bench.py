@@ -31,7 +31,7 @@ Cases:
                       repeat, so the DP's bounded memo misses often
   convex_glue         building that convex host in memory
   run_suite_all_12    run_suite("all", 12), catalogs built cold
-  catalog_cold_12     both catalogs (all trees, and max degree 3) for
+  catalog_cold_12     enumerate_trees(n) and its max-degree-3 filter for
                       n = 1..12, built cold
   catalog_cold_14     enumerate_trees(14), built cold: the 3,159 classes on
                       14 vertices and every smaller catalog they extend

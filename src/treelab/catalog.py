@@ -1,14 +1,16 @@
 """Catalogs of k-vertex trees up to isomorphism.
 
-Trees are generated by leaf extension: every class on n vertices arises by
-attaching one new leaf to some class on n-1 vertices (remove any leaf to see
-this), so extending every catalog entry at every vertex and deduplicating by
-canonical code is exhaustive.  The published order puts the path first and
-the star second (for k <= 3 the two coincide and the star index aliases the
-path); all remaining entries follow in ascending canonical-code order, which
-makes catalog positions stable across runs and platforms.  The path and the
-star are picked from the catalog's own classes by their degrees, so this
-module needs no tree constructors and sits below counting and generators.
+Trees are generated by leaf extension: every class on k vertices arises by
+attaching one new leaf to some class on k-1 vertices (remove any leaf to see
+this), so extending every entry of the (k-1)-catalog, in ascending code
+order, at every vertex and deduplicating by canonical code is exhaustive;
+the first candidate of a code is kept.  The published order puts the path
+first and the star second (for k <= 3 the two coincide and the star index
+aliases the path); all remaining entries follow in ascending canonical-code
+order, which makes catalog positions stable across runs and platforms.
+The path and the star are picked from the catalog's own classes by their
+degrees, so this module needs no tree constructors and sits below counting
+and generators.
 
 Every entry is checked once, when the catalog keeps it, and keeps the
 canonical code it was deduplicated by, as any Tree keeps its Walk and code
@@ -21,6 +23,14 @@ a kept class is dropped unbuilt and unchecked.  A leaf whose sibling
 leaf in the same parent was already extended is skipped: swapping the
 two is an automorphism, so its candidate has a code already kept, and
 the first candidate of a code still wins, so no entry changes.
+
+The trees of maximum degree <= dmax are a filter of the one catalog, the
+same Tree objects, and each class has the representative a build over
+bounded classes alone would pick: removing a leaf raises no degree, so
+every parent of a bounded class is bounded and the bounded parents keep
+their relative code order, and a candidate that attaches to a vertex of
+degree >= dmax has degree above the bound, so it is never the first
+candidate of a bounded class.
 
 There is no size cap here (1,301 classes at 13 vertices, 823,065 at 20):
 the command line checks every size against ``--max-k``.  The brute-force
@@ -62,45 +72,30 @@ class TreeCatalog:
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int, dmax: int | None) -> dict[bytes, Tree]:
-    """Canonical code -> representative for every n-vertex class, or with
-    dmax set, for every class of maximum degree <= dmax.
-
-    Degree-bounded classes are closed under leaf removal, so the same
-    extension argument applies with attachment restricted to vertices of
-    degree < dmax.  dmax is a required argument so that each class set has
-    one cache key.
-    """
-    if n == 1:
-        code = adjacency_code([[]])
-        t = _keep_code(Tree(1, ()), code)
-        checked_walk(t)
-        return {code: t}
-    out: dict[bytes, Tree] = {}
-    for _, parent in sorted(_classes(n - 1, dmax).items()):
-        padj = checked_walk(parent).adj
-        # Neighbours of the leaves extended so far in this parent.
-        stems = set()
-        for v in range(n - 1):
-            if dmax is not None and len(padj[v]) >= dmax:
-                continue
-            if len(padj[v]) == 1:
-                if padj[v][0] in stems:
-                    continue
-                stems.add(padj[v][0])
-            adj = padj[:]
-            adj[v] = padj[v] + [n - 1]
-            adj.append([v])
-            code = adjacency_code(adj)
-            if code not in out:
-                out[code] = t = _keep_code(Tree(n, parent.edges + ((v, n - 1),)), code)
-                checked_walk(t)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _catalog(k: int) -> TreeCatalog:
-    classes = _classes(k, None)
+    if k == 1:
+        code = adjacency_code([[]])
+        classes = {code: _keep_code(Tree(1, ()), code)}
+        checked_walk(classes[code])
+    else:
+        classes = {}
+        smaller = _catalog(k - 1)
+        for _, parent in sorted(zip(smaller.codes, smaller.entries)):
+            padj = checked_walk(parent).adj
+            # Neighbours of the leaves extended so far in this parent.
+            stems = set()
+            for v in range(k - 1):
+                if len(padj[v]) == 1:
+                    if padj[v][0] in stems:
+                        continue
+                    stems.add(padj[v][0])
+                adj = padj[:]
+                adj[v] = padj[v] + [k - 1]
+                adj.append([v])
+                code = adjacency_code(adj)
+                if code not in classes:
+                    classes[code] = t = _keep_code(Tree(k, parent.edges + ((v, k - 1),)), code)
+                    checked_walk(t)
     # The path is the one class of max degree <= 2, the star the one with a
     # vertex of degree k-1; for k <= 3 they are the same class.
     top = {c: max_degree(t) for c, t in classes.items()}
@@ -136,8 +131,9 @@ def catalog_count(k: int) -> int:
 
 
 def enumerate_trees_bounded_degree(n: int, dmax: int = 3) -> tuple[Tree, ...]:
-    """All n-vertex trees with maximum degree <= dmax, ascending code order."""
+    """The entries of enumerate_trees(n) with maximum degree <= dmax, the
+    same Tree objects, in ascending code order."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    classes = _classes(n, dmax)
-    return tuple(classes[c] for c in sorted(classes))
+    cat = enumerate_trees(n)
+    return tuple(t for _, t in sorted(zip(cat.codes, cat.entries)) if max_degree(t) <= dmax)

@@ -221,6 +221,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.suite == "census" and args.k is not None:
+        raise ValueError("verify --suite census has no window-bound checks for --k to restrict")
     _check_catalog_cap(args.max_n, f"verify --max-n {args.max_n}", args.max_k)
     ks = (args.k,) if args.k is not None else DEFAULT_WINDOW_SIZES
     if args.suite != "census":  # only the window-bound checks build k-catalogs

@@ -18,11 +18,11 @@ count_all, is the only per-shape engine.  The window total Z_k needs no
 shapes: the same recursion over subtree-size polynomials gives Z_j for
 every j <= k in one O(n k^2) pass (_window_totals).
 
-On hosts past a few dozen vertices the DP hash-conses its vertex states:
-the first few hundred distinct states are interned by content, and a
-vertex whose children's states are all interned reuses the result of the
-first vertex with the same child states, so its merges are done once per
-distinct key of child state ids; the first few thousand keys are kept.
+The DP hash-conses its vertex states: the first few hundred distinct
+states are interned by content, and a vertex whose children's states are
+all interned reuses the result of the first vertex with the same child
+states, so its merges are done once per distinct key of child state ids;
+the first few thousand keys are kept.
 Glue powers and the two-family mixture repeat a few local shapes
 thousands of times and cost little more than their distinct keys; a host
 whose states or keys do not repeat fills the bounded tables and merges
@@ -61,11 +61,6 @@ from .trees import Tree, adjacency_code, checked_walk
 # memoising at most 256 of them made its count about 30% slower, and
 # 4,096 hold them all at a 2.3 MB peak against 1.0 MB.
 _INTERN_CAP = 256
-# Hosts with fewer vertices merge plain dicts only.  On them few states
-# repeat, and the interning made the DP 20-70% slower on random trees of
-# 8 to 40 vertices (the verify corpus has at most 12); glue powers of an
-# 8-vertex pattern at k = 8 break even at about 50 vertices.
-_INTERN_MIN_N = 64
 
 
 def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]]]:
@@ -74,15 +69,14 @@ def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]
     child shapes kids[s], and shape 0 is the lone vertex.
 
     A vertex's state (shape -> sets of fewer than k vertices topped by it)
-    and its k-vertex windows depend only on its children's states.  On a
-    host of at least _INTERN_MIN_N vertices the first _INTERN_CAP distinct
-    states are interned by content, and a vertex whose children are all
-    interned looks up the tuple of their ids: on a hit it reuses that key's
-    result and bumps its use count, and each key's windows are tallied
-    once, times its use count, at the end; at most 16 * _INTERN_CAP keys
-    are kept.  So the cost grows with the number of distinct child-state
-    keys, not with n, on hosts that repeat a few local shapes, such as
-    glue powers.
+    and its k-vertex windows depend only on its children's states.  The
+    first _INTERN_CAP distinct states are interned by content, and a
+    vertex whose children are all interned looks up the tuple of their
+    ids: on a hit it reuses that key's result and bumps its use count, and
+    each key's windows are tallied once, times its use count, at the end;
+    at most 16 * _INTERN_CAP keys are kept.  So the cost grows with the
+    number of distinct child-state keys, not with n, on hosts that repeat
+    a few local shapes, such as glue powers.
     """
     if k < 1:
         raise ValueError(f"window size must be >= 1, got k={k}")
@@ -102,7 +96,7 @@ def _rooted_tally(t: Tree, k: int) -> tuple[dict[int, int], list[tuple[int, ...]
     states: list[dict[int, int]] = []
     interned: dict[frozenset, int] = {}
     memo: dict[tuple, list] = {}
-    cap = _INTERN_CAP if t.n >= _INTERN_MIN_N else 0
+    cap = _INTERN_CAP
     lone = {0: 1}
     # below[v]: v's state, an interned id or a plain dict, kept until v's
     # parent, whose done neighbours are exactly its children.

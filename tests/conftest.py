@@ -210,8 +210,7 @@ def small_hosts() -> list[Tree]:
 
 @pytest.fixture
 def cold_catalogs() -> None:
-    """Empty the catalog caches, so the test builds every catalog it uses."""
-    catalog._classes.cache_clear()
+    """Empty the catalog cache, so the test builds every catalog it uses."""
     catalog._catalog.cache_clear()
 
 

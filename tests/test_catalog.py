@@ -128,11 +128,15 @@ class TestKeptWalkAndCode:
         assert [canonical_code(t) for t in entries] == list(enumerate_trees(8).codes)
 
     def test_cold_build_checks_each_kept_entry_once(self, cold_catalogs, count_calls):
-        # Candidates the catalog drops as duplicates are never checked.
+        # Candidates the catalog drops as duplicates are never checked, and
+        # the bounded entries are the catalog's own trees, not copies.
         calls = count_calls(trees, "_check")
         plain = [t for n in range(1, 10) for t in enumerate_trees(n).entries]
-        bounded = [t for n in range(1, 10) for t in enumerate_trees_bounded_degree(n, 3)]
-        assert calls["_check"] == len(plain) + len(bounded)
+        for n in range(1, 10):
+            cat = enumerate_trees(n)
+            for t in enumerate_trees_bounded_degree(n, 3):
+                assert t is cat.entries[cat.index_of[canonical_code(t)] - 1]
+        assert calls["_check"] == len(plain)
 
 
 def unskipped_classes(max_n: int, dmax):
@@ -168,14 +172,15 @@ class TestSiblingLeafSkip:
             assert [t.edges for t in got] == [t.edges for t in want]
 
     def test_cold_build_codes_fewer_candidates(self, cold_catalogs, count_calls):
-        # 4,395 and 1,138 candidates are coded without the skip.
+        # 4,395 candidates are coded without the skip; the bounded
+        # entries are a filter of the catalog and code none.
         calls = count_calls(catalog, "adjacency_code")
         for n in range(1, 13):
             enumerate_trees(n)
         assert calls["adjacency_code"] == 3504
         for n in range(1, 13):
             enumerate_trees_bounded_degree(n, 3)
-        assert calls["adjacency_code"] == 3504 + 1025
+        assert calls["adjacency_code"] == 3504
 
 
 class TestBoundedDegree:
@@ -213,5 +218,10 @@ class TestBoundedDegree:
     def test_max_n_guard(self):
         with pytest.raises(ValueError):
             enumerate_trees_bounded_degree(0, 3)
-        # no cap in the library: sizes past the old default of 16 build
-        assert len(enumerate_trees_bounded_degree(17, 2)) == 1
+        # no cap in the library: sizes past the default --max-k of 12 build
+        assert len(enumerate_trees_bounded_degree(13, 2)) == 1
+
+    def test_bound_below_a_vertex_degree_drops_it(self):
+        # The one-vertex tree has maximum degree 0, so dmax = -1 drops it.
+        got = [len(enumerate_trees_bounded_degree(n, d)) for d in (-1, 0, 1) for n in (1, 2, 3)]
+        assert got == [0, 0, 0, 1, 0, 0, 1, 1, 0]

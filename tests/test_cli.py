@@ -295,6 +295,13 @@ class TestVerify:
         assert window
         assert all("k=5" in r["inputs"] for r in window)
 
+    @pytest.mark.parametrize("k", ["5", "0", "-4"])
+    def test_census_suite_rejects_k(self, capsys, k):
+        code, out, err = run(capsys, "verify", "--suite", "census", "--max-n", "5", "--k", k)
+        assert (code, out) == (2, "")
+        assert err == ("treelab: error: verify --suite census has no window-bound checks "
+                       "for --k to restrict\n")
+
 
 class TestWriteJson:
     # Every command's JSON is the text json.dumps(payload, indent=2)

@@ -136,14 +136,12 @@ def census_of(name: str, k: int) -> dict[bytes, int]:
 
 
 class TestInternedStates:
-    """The DP interns at most counting._INTERN_CAP states, on hosts of at
-    least counting._INTERN_MIN_N vertices; the counts must not depend on
-    either, and a cap of 0 or 1 runs the plain-dict path."""
+    """The DP interns at most counting._INTERN_CAP states; the counts must
+    not depend on the cap, and a cap of 0 or 1 runs the plain-dict path."""
 
     @pytest.mark.parametrize("cap", [counting._INTERN_CAP, 0, 1])
     @pytest.mark.parametrize("name", list(REPEATING_HOSTS))
     def test_matches_naive_census(self, monkeypatch, name, cap):
-        monkeypatch.setattr(counting, "_INTERN_MIN_N", 1)
         monkeypatch.setattr(counting, "_INTERN_CAP", cap)
         for k in range(2, 9):
             got, rec = record_as_census(REPEATING_HOSTS[name], k)
@@ -160,7 +158,6 @@ class TestInternedStates:
     def test_cap_does_not_change_large_hosts(self, monkeypatch, t, k):
         # Periodic hosts repeat their states hundreds of times; the plain
         # DP (cap 0) is the reference the oracle gates above pin down.
-        assert t.n >= counting._INTERN_MIN_N
         want = count_all(t, k)
         for cap in (0, 1, 3):
             monkeypatch.setattr(counting, "_INTERN_CAP", cap)
